@@ -2,7 +2,10 @@
 
 use crate::event::{Event, FieldValue, Time};
 use crate::record::Recorder;
+use std::collections::VecDeque;
 use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Every column a flattened event can populate, in output order. One fixed
 /// schema keeps CSV rows position-stable across event kinds.
@@ -213,8 +216,30 @@ struct StreamInner {
     seq: u64,
     capacity: usize,
     dropped: u64,
-    lines: std::collections::VecDeque<String>,
+    lines: VecDeque<String>,
     closed: bool,
+    /// Shared tally of undrained line bytes (see [`JsonlStream::metered`]).
+    meter: Option<Arc<AtomicUsize>>,
+}
+
+impl StreamInner {
+    fn meter_add(&self, bytes: usize) {
+        if let Some(meter) = &self.meter {
+            meter.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    fn meter_sub(&self, bytes: usize) {
+        if let Some(meter) = &self.meter {
+            meter.fetch_sub(bytes, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for StreamInner {
+    fn drop(&mut self) {
+        self.meter_sub(self.lines.iter().map(String::len).sum());
+    }
 }
 
 /// Incremental JSONL event stream: a clonable [`Recorder`] that encodes
@@ -225,10 +250,11 @@ struct StreamInner {
 /// attaches one clone to an engine and its `/jobs/:id/events` endpoint
 /// drains the other end while the run is still in flight. When the buffer
 /// is full the *oldest* lines are dropped (and counted), so a slow or
-/// absent consumer never blocks or bloats the producer.
+/// absent consumer never blocks or bloats the producer. Once a closed
+/// stream is drained its buffer is freed.
 #[derive(Clone)]
 pub struct JsonlStream {
-    inner: std::sync::Arc<std::sync::Mutex<StreamInner>>,
+    inner: Arc<Mutex<StreamInner>>,
 }
 
 impl JsonlStream {
@@ -238,14 +264,30 @@ impl JsonlStream {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::build(capacity, None)
+    }
+
+    /// Like [`JsonlStream::with_capacity`], and every undrained line's
+    /// byte length is also counted in `meter`, which many streams may
+    /// share: a server's gauge of event bytes it holds for its clients.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    #[must_use]
+    pub fn metered(capacity: usize, meter: Arc<AtomicUsize>) -> Self {
+        Self::build(capacity, Some(meter))
+    }
+
+    fn build(capacity: usize, meter: Option<Arc<AtomicUsize>>) -> Self {
         assert!(capacity > 0, "stream capacity must be positive");
         Self {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(StreamInner {
+            inner: Arc::new(Mutex::new(StreamInner {
                 seq: 0,
                 capacity,
                 dropped: 0,
-                lines: std::collections::VecDeque::new(),
+                lines: VecDeque::new(),
                 closed: false,
+                meter,
             })),
         }
     }
@@ -259,7 +301,15 @@ impl JsonlStream {
     /// Takes all buffered lines, oldest first (without trailing newlines).
     #[must_use]
     pub fn drain_lines(&self) -> Vec<String> {
-        self.inner.lock().unwrap().lines.drain(..).collect()
+        let mut inner = self.inner.lock().unwrap();
+        let lines: Vec<String> = if inner.closed {
+            // A closed stream is not refilled: hand over the buffer itself.
+            std::mem::take(&mut inner.lines).into()
+        } else {
+            inner.lines.drain(..).collect()
+        };
+        inner.meter_sub(lines.iter().map(String::len).sum());
+        lines
     }
 
     /// Undrained line count.
@@ -283,7 +333,11 @@ impl JsonlStream {
     /// Marks the stream finished: the producer will emit no more events.
     /// Consumers drain whatever remains and stop polling.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        let mut inner = self.inner.lock().unwrap();
+        inner.closed = true;
+        if inner.lines.is_empty() {
+            inner.lines = VecDeque::new();
+        }
     }
 
     /// `true` once [`JsonlStream::close`] was called.
@@ -305,9 +359,12 @@ impl Recorder for JsonlStream {
         let line = jsonl_line(inner.seq, event);
         inner.seq += 1;
         if inner.lines.len() == inner.capacity {
-            inner.lines.pop_front();
+            if let Some(evicted) = inner.lines.pop_front() {
+                inner.meter_sub(evicted.len());
+            }
             inner.dropped += 1;
         }
+        inner.meter_add(line.len());
         inner.lines.push_back(line);
     }
 }
@@ -406,6 +463,35 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"generation\":4"));
         assert!(lines[1].contains("\"generation\":5"));
+    }
+
+    #[test]
+    fn metered_streams_count_undrained_bytes_and_free_closed_buffers() {
+        let meter = Arc::new(AtomicUsize::new(0));
+        let a = JsonlStream::metered(2, Arc::clone(&meter));
+        let b = JsonlStream::metered(8, Arc::clone(&meter));
+        let events = sample_events();
+        let (mut pa, mut pb) = (a.clone(), b.clone());
+        for event in &events {
+            pa.record(event);
+            pb.record(event);
+        }
+        // `a` evicted its oldest line; the meter counts what is held.
+        let held = |s: &JsonlStream| s.inner.lock().unwrap().lines.iter().map(String::len).sum();
+        assert_eq!(meter.load(Ordering::Relaxed), held(&a) + held(&b));
+        let drained: usize = a.drain_lines().iter().map(String::len).sum();
+        assert_eq!(meter.load(Ordering::Relaxed), held(&b));
+        assert!(drained > 0);
+        // A closed stream gives its buffer away on the final drain.
+        b.close();
+        assert_eq!(b.drain_lines().len(), events.len());
+        assert_eq!(b.inner.lock().unwrap().lines.capacity(), 0);
+        assert_eq!(meter.load(Ordering::Relaxed), 0);
+        // Dropping a stream with undrained lines releases them too.
+        pa.record(&events[0]);
+        assert!(meter.load(Ordering::Relaxed) > 0);
+        drop((a, pa));
+        assert_eq!(meter.load(Ordering::Relaxed), 0);
     }
 
     #[test]

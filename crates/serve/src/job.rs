@@ -169,11 +169,11 @@ pub struct Job {
     pub retries: u64,
     /// Backoff gate: the job is not schedulable before this instant.
     pub not_before: Option<Instant>,
-    /// Last good engine snapshot, taken after every successful slice.
-    /// This is the resurrection source — identical bytes to the spool
-    /// record when the spool is healthy, and still available when the
-    /// spool is degraded.
-    pub resume_from: Option<Vec<u8>>,
+    /// Last good engine snapshot (`Snapshot::to_bytes`), encoded once
+    /// per slice on the worker and shared with that slice's spool record.
+    /// This is the resurrection source, and still available when the
+    /// spool is degraded. Dropped once the job is terminal.
+    pub resume_from: Option<Arc<[u8]>>,
 }
 
 impl Job {

@@ -37,9 +37,15 @@
 //!   ways computes bit-for-bit the run an uninterrupted
 //!   [`Driver`](pga_core::driver::Driver) would.
 //! * **Crash safety.** Every job's engine snapshot is spooled after
-//!   every slice (atomic rename); a restarted server re-admits all
-//!   in-flight jobs and their final results are bit-identical to an
-//!   uninterrupted run.
+//!   every slice; a server restarted after a process crash re-admits
+//!   all in-flight jobs and their final results are bit-identical to an
+//!   uninterrupted run. There is no fsync: a power loss may lose a
+//!   job's newest record (see [`spool`]).
+//! * **Finished jobs keep only their status.** A terminal job's engine
+//!   and checkpoint are dropped and its event buffer is freed once
+//!   drained; `serve.retained_bytes` in `GET /metrics` counts the
+//!   checkpoint and undrained event bytes held. The status entry itself
+//!   is kept for every job the server has seen.
 //! * **No tenant starvation.** Deficit round-robin over tenants in
 //!   units of engine steps: a tenant hogging the queue cannot slow
 //!   another tenant's step throughput beyond one slice of lag.

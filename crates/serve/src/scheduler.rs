@@ -16,7 +16,9 @@
 //! After every slice the job's engine snapshot and counters are written
 //! to the [`Spool`]; a runtime restarted over the same spool directory
 //! re-admits every non-terminal job and continues it from its last
-//! completed slice.
+//! completed slice. The snapshot is encoded once, by the slice itself on
+//! its pool worker; the spool record and the job's in-memory resurrection
+//! checkpoint share those bytes. A terminal job keeps only its status.
 //!
 //! ## Fairness
 //!
@@ -31,7 +33,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -163,6 +165,8 @@ struct State {
     ring: VecDeque<String>,
     next_id: u64,
     live: usize,
+    /// Jobs in [`JobState::Poisoned`] (never left once entered).
+    poisoned: usize,
     stopping: bool,
 }
 
@@ -182,8 +186,59 @@ struct Shared {
     /// A drain started: admission closed, scheduler idles.
     draining: AtomicBool,
     /// Jobs currently checked out on the slice pool (drain barrier).
-    in_flight: std::sync::atomic::AtomicUsize,
+    in_flight: AtomicUsize,
+    /// Bytes of every job's `resume_from` checkpoint.
+    checkpoint_bytes: AtomicUsize,
+    /// Bytes of undrained lines across every job's event stream.
+    event_bytes: Arc<AtomicUsize>,
     config: ServeConfig,
+}
+
+impl Shared {
+    /// An event stream for a new job, counted in `event_bytes`.
+    fn new_stream(&self) -> JsonlStream {
+        JsonlStream::metered(self.config.stream_capacity, Arc::clone(&self.event_bytes))
+    }
+
+    /// Replaces `job`'s resurrection checkpoint, keeping
+    /// `checkpoint_bytes` in step; returns the previous one.
+    fn set_resume_from(&self, job: &mut Job, bytes: Option<Arc<[u8]>>) -> Option<Arc<[u8]>> {
+        let len = |b: &Option<Arc<[u8]>>| b.as_ref().map_or(0, |b| b.len());
+        self.checkpoint_bytes
+            .fetch_add(len(&bytes), Ordering::Relaxed);
+        let old = std::mem::replace(&mut job.resume_from, bytes);
+        self.checkpoint_bytes
+            .fetch_sub(len(&old), Ordering::Relaxed);
+        old
+    }
+
+    /// Moves `job` into the terminal `state`, keeping only its status:
+    /// drops its engine and checkpoint and closes its event stream.
+    /// Returns the checkpoint, for the job's final spool record.
+    fn retire(&self, job: &mut Job, state: JobState) -> Option<Arc<[u8]>> {
+        debug_assert!(state.is_terminal());
+        job.state = state;
+        job.engine = None;
+        job.not_before = None;
+        job.stream.close();
+        self.set_resume_from(job, None)
+    }
+}
+
+/// `job`'s spool record as of its last reintegrated slice, without the
+/// engine snapshot (persisted alongside as pre-encoded bytes).
+fn record_of(job: &Job) -> JobRecord {
+    JobRecord {
+        id: job.id,
+        spec: job.spec.clone(),
+        state: job.state.clone(),
+        slices: job.slices,
+        steps: job.steps,
+        consumed: job.consumed,
+        retries: job.retries,
+        progress: job.progress,
+        engine_snapshot: None,
+    }
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -231,7 +286,9 @@ struct SliceTask {
     slice_time: Duration,
     end: SliceEnd,
     progress: JobProgress,
-    snapshot: Option<pga_core::Snapshot>,
+    /// The engine's snapshot after the slice, encoded on the worker;
+    /// shared by the spool record and the job's `resume_from`.
+    snapshot: Option<Arc<[u8]>>,
 }
 
 /// The job runtime. Construct through `ServeBuilder` (crate root);
@@ -259,6 +316,7 @@ impl ServeRuntime {
                 ring: VecDeque::new(),
                 next_id: 0,
                 live: 0,
+                poisoned: 0,
                 stopping: false,
             }),
             wake: Condvar::new(),
@@ -267,7 +325,9 @@ impl ServeRuntime {
             hard_drop: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
+            checkpoint_bytes: AtomicUsize::new(0),
+            event_bytes: Arc::new(AtomicUsize::new(0)),
             config,
         });
         let recover_report = recover(&shared, &spool);
@@ -331,7 +391,7 @@ impl ServeRuntime {
             st.next_id += 1;
             id
         };
-        let stream = JsonlStream::with_capacity(self.shared.config.stream_capacity);
+        let stream = self.shared.new_stream();
         let engine = match build_engine(&spec, Some(stream.clone())) {
             Ok(engine) => engine,
             Err(e) => {
@@ -420,27 +480,17 @@ impl ServeRuntime {
                 return true;
             }
             // Still queued: finalize right here.
-            let engine = job.engine.take();
-            job.state = JobState::Cancelled;
-            job.stream.close();
+            let engine_snapshot = job.engine.as_ref().map(|e| e.snapshot());
+            self.shared.retire(job, JobState::Cancelled);
+            let record = JobRecord {
+                engine_snapshot,
+                ..record_of(job)
+            };
             st.live -= 1;
-            let record = st.jobs.get(&id).map(|job| JobRecord {
-                id,
-                spec: job.spec.clone(),
-                state: JobState::Cancelled,
-                slices: job.slices,
-                steps: job.steps,
-                consumed: job.consumed,
-                retries: job.retries,
-                progress: job.progress,
-                engine_snapshot: engine.map(|e| e.snapshot()),
-            });
             lock(&self.shared.registry).inc("serve.cancelled", 1);
             record
         };
-        if let Some(record) = record {
-            let _ = self.spool.save(&record);
-        }
+        let _ = self.spool.save(&record);
         self.shared.progress.notify_all();
         true
     }
@@ -500,12 +550,10 @@ impl ServeRuntime {
             let queued: usize = st.tenants.values().map(|t| t.queue.len()).sum();
             reg.set_gauge("serve.jobs_queued", queued as f64);
             reg.set_gauge("serve.tenants", st.tenants.len() as f64);
-            let poisoned = st
-                .jobs
-                .values()
-                .filter(|j| matches!(j.state, JobState::Poisoned(_)))
-                .count();
-            reg.set_gauge("serve.jobs_poisoned", poisoned as f64);
+            reg.set_gauge("serve.jobs_poisoned", st.poisoned as f64);
+            let retained = self.shared.checkpoint_bytes.load(Ordering::Relaxed)
+                + self.shared.event_bytes.load(Ordering::Relaxed);
+            reg.set_gauge("serve.retained_bytes", retained as f64);
             reg.set_gauge(
                 "serve.spool_degraded",
                 f64::from(u8::from(self.shared.degraded.load(Ordering::Acquire))),
@@ -523,11 +571,7 @@ impl ServeRuntime {
             draining: self.shared.draining.load(Ordering::Acquire) || st.stopping,
             live: st.live,
             queued: st.tenants.values().map(|t| t.queue.len()).sum(),
-            poisoned: st
-                .jobs
-                .values()
-                .filter(|j| matches!(j.state, JobState::Poisoned(_)))
-                .count(),
+            poisoned: st.poisoned,
         }
     }
 
@@ -559,21 +603,14 @@ impl ServeRuntime {
             }
         }
         let mut report = DrainReport::default();
-        let records: Vec<JobRecord> = {
+        let records: Vec<(JobRecord, Option<Vec<u8>>)> = {
             let st = lock(&self.shared.state);
             st.jobs
                 .values()
                 .filter(|job| !job.state.is_terminal())
-                .map(|job| JobRecord {
-                    id: job.id,
-                    spec: job.spec.clone(),
-                    state: job.state.clone(),
-                    slices: job.slices,
-                    steps: job.steps,
-                    consumed: job.consumed,
-                    retries: job.retries,
-                    progress: job.progress,
-                    engine_snapshot: job.engine.as_ref().map(|e| e.snapshot()),
+                .map(|job| {
+                    let nested = job.engine.as_ref().map(|e| e.snapshot().to_bytes());
+                    (record_of(job), nested)
                 })
                 .collect()
         };
@@ -581,8 +618,8 @@ impl ServeRuntime {
             let st = lock(&self.shared.state);
             st.jobs.values().filter(|j| j.state.is_terminal()).count()
         };
-        for record in &records {
-            if persist_with_retry(self.shared.as_ref(), &self.spool, record) {
+        for (record, nested) in &records {
+            if persist_with_retry(self.shared.as_ref(), &self.spool, record, nested.as_deref()) {
                 report.persisted += 1;
             } else {
                 report.failed += 1;
@@ -670,9 +707,12 @@ fn recover(shared: &Shared, spool: &Spool) -> RecoverReport {
     let mut st = lock(&shared.state);
     for record in scan.records {
         st.next_id = st.next_id.max(record.id.0 + 1);
-        let stream = JsonlStream::with_capacity(shared.config.stream_capacity);
+        let stream = shared.new_stream();
         let mut tombstone = |st: &mut State, state: JobState, stream: JsonlStream| {
             stream.close();
+            if matches!(state, JobState::Poisoned(_)) {
+                st.poisoned += 1;
+            }
             let mut job = Job::tombstone(
                 record.id,
                 record.spec.clone(),
@@ -760,7 +800,8 @@ fn recover(shared: &Shared, spool: &Spool) -> RecoverReport {
         job.steps = record.steps;
         job.consumed = record.consumed;
         job.retries = record.retries;
-        job.resume_from = record.engine_snapshot.as_ref().map(Snapshot::to_bytes);
+        let checkpoint = record.engine_snapshot.as_ref().map(|s| s.to_bytes().into());
+        shared.set_resume_from(&mut job, checkpoint);
         job.progress = record.progress;
         st.live += 1;
         enqueue(&mut st, job);
@@ -936,7 +977,7 @@ fn run_slice(task: &mut SliceTask) {
                 best_fitness: p.best_fitness,
                 best_is_optimal: p.best_is_optimal,
             },
-            engine.snapshot(),
+            Arc::from(engine.snapshot().to_bytes()),
         )
     }));
     match result {
@@ -966,11 +1007,17 @@ fn run_slice(task: &mut SliceTask) {
 /// Persists `record`, retrying with a short backoff before giving up.
 /// Failure flips the runtime into degraded mode (jobs continue on
 /// in-memory checkpoints); the next success clears it. Returns whether
-/// the record reached the spool.
-fn persist_with_retry(shared: &Shared, spool: &Spool, record: &JobRecord) -> bool {
+/// the record reached the spool. `nested` is the engine snapshot,
+/// pre-encoded (see [`Spool::save_with`]).
+fn persist_with_retry(
+    shared: &Shared,
+    spool: &Spool,
+    record: &JobRecord,
+    nested: Option<&[u8]>,
+) -> bool {
     const ATTEMPTS: u32 = 3;
     for attempt in 0..ATTEMPTS {
-        match spool.save(record) {
+        match spool.save_with(record, nested) {
             Ok(()) => {
                 if shared.degraded.swap(false, Ordering::AcqRel) {
                     // Left degraded mode: persistence is healthy again.
@@ -1058,12 +1105,13 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                 }
                 // Nothing runnable now. If jobs are only backoff-gated,
                 // sleep just past the earliest gate instead of forever.
+                // Gated jobs wait in their tenant's queue.
                 let now = Instant::now();
                 let earliest = st
-                    .jobs
+                    .tenants
                     .values()
-                    .filter(|j| !j.state.is_terminal())
-                    .filter_map(|j| j.not_before)
+                    .flat_map(|t| &t.queue)
+                    .filter_map(|id| st.jobs.get(id)?.not_before)
                     .filter(|t| *t > now)
                     .min();
                 st = match earliest {
@@ -1135,9 +1183,9 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                 consumed: task.consumed + task.slice_time,
                 retries: task.prior_retries,
                 progress: task.progress,
-                engine_snapshot: task.snapshot.clone(),
+                engine_snapshot: None,
             };
-            persist_with_retry(shared, spool, &record);
+            persist_with_retry(shared, spool, &record, task.snapshot.as_deref());
         }
         // Reintegrate under the lock. Deferred records (quarantines and
         // retry checkpoints) are written after the lock drops.
@@ -1165,26 +1213,22 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                     job.steps += task.steps_run;
                     job.consumed += task.slice_time;
                     job.progress = task.progress;
-                    job.resume_from = task.snapshot.as_ref().map(Snapshot::to_bytes);
                 }
                 match task.end {
                     SliceEnd::Yield => {
                         job.engine = task.engine;
+                        shared.set_resume_from(job, task.snapshot);
                         if let Some(t) = st.tenants.get_mut(&task.tenant) {
                             t.queue.push_back(task.id);
                         }
                     }
                     SliceEnd::Done(reason) => {
-                        job.state = JobState::Done(reason);
-                        job.engine = None;
-                        job.stream.close();
+                        shared.retire(job, JobState::Done(reason));
                         st.live -= 1;
                         reg.inc("serve.completed", 1);
                     }
                     SliceEnd::Cancelled => {
-                        job.state = JobState::Cancelled;
-                        job.engine = None;
-                        job.stream.close();
+                        shared.retire(job, JobState::Cancelled);
                         st.live -= 1;
                         reg.inc("serve.cancelled", 1);
                     }
@@ -1199,7 +1243,7 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                                 "retry budget exhausted after {budget} retries: {message}"
                             ))
                         };
-                        let requeued = match outcome {
+                        let (requeued, nested) = match outcome {
                             Ok(()) => {
                                 // Bounded-retry resurrection: requeue
                                 // behind an exponential backoff gate.
@@ -1216,54 +1260,40 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                                     attempt: job.retries,
                                     backoff_micros: backoff.as_micros() as u64,
                                 }));
-                                true
+                                (true, job.resume_from.clone())
                             }
                             Err(reason) => {
                                 // Budget exhausted (or resurrection
                                 // itself failed): quarantine. The pool
                                 // keeps running; the job never does.
-                                job.state = JobState::Poisoned(reason.clone());
-                                job.engine = None;
                                 job.stream.record(&Event::new(EventKind::JobPoisoned {
                                     job: task.id.0,
                                     retries: job.retries,
-                                    reason,
+                                    reason: reason.clone(),
                                 }));
-                                job.stream.close();
                                 reg.inc("serve.poisoned", 1);
-                                false
+                                (false, shared.retire(job, JobState::Poisoned(reason)))
                             }
                         };
                         // Either way the outcome must survive a restart:
                         // a retry record keeps the count mid-budget, a
-                        // poison record keeps the quarantine.
-                        deferred_records.push(JobRecord {
-                            id: task.id,
-                            spec: job.spec.clone(),
-                            state: job.state.clone(),
-                            slices: job.slices,
-                            steps: job.steps,
-                            consumed: job.consumed,
-                            retries: job.retries,
-                            progress: job.progress,
-                            engine_snapshot: job
-                                .resume_from
-                                .as_deref()
-                                .and_then(|b| Snapshot::from_bytes(b).ok()),
-                        });
+                        // poison record keeps the quarantine. Both carry
+                        // the last good checkpoint's bytes as they are.
+                        deferred_records.push((record_of(job), nested));
                         if requeued {
                             if let Some(t) = st.tenants.get_mut(&task.tenant) {
                                 t.queue.push_back(task.id);
                             }
                         } else {
                             st.live -= 1;
+                            st.poisoned += 1;
                         }
                     }
                 }
             }
         }
-        for record in &deferred_records {
-            persist_with_retry(shared, spool, record);
+        for (record, nested) in &deferred_records {
+            persist_with_retry(shared, spool, record, nested.as_deref());
         }
         shared.in_flight.store(0, Ordering::Release);
         shared.progress.notify_all();

@@ -7,10 +7,23 @@
 //! rebuilt deterministically), scheduler counters, mirrored progress, and
 //! the engine's own nested PGAS snapshot.
 //!
-//! Writes are atomic (`<id>.pgaj.tmp` + rename), so a crash mid-write
-//! leaves the previous consistent record in place. Recovery loads every
-//! readable record and reports unreadable ones instead of failing the
-//! whole restart — one corrupt job must not take the server down.
+//! A save writes `<id>.pgaj.tmp`, unlinks `<id>.pgaj`, then renames the
+//! tmp into place. It never renames over a live record: on ext4 a
+//! replace-by-rename forces the new file to disk, which would make every
+//! slice pay a synchronous writeback. A crash can therefore leave three
+//! shapes, and recovery handles each:
+//!
+//! * torn tmp, record intact (crash mid-write): the tmp is ignored;
+//! * complete tmp, no record (crash between unlink and rename): the tmp
+//!   is *adopted* — renamed into place and loaded — if it checksums and
+//!   names the job its file name says; otherwise it is ignored;
+//! * torn record (a device that dropped the tail): skipped and reported.
+//!
+//! Records survive a process crash. There is no fsync, so a power loss
+//! may lose the newest record of a job (its previous slice is then
+//! replayed, or the job is missing if it had only one). Recovery loads
+//! every readable record and reports unreadable ones instead of failing
+//! the whole restart — one corrupt job must not take the server down.
 //!
 //! For fault drills a [`ChaosInjector`] can be armed on the spool:
 //! scripted write indices then fail with an IO error (exercising the
@@ -111,9 +124,17 @@ impl Spool {
         self.dir.join(format!("{id}.{EXTENSION}"))
     }
 
-    /// Atomically persists one record (tmp file + rename).
+    /// Persists one record: tmp file, unlink, rename (see the module
+    /// docs for the crash windows).
     pub fn save(&self, record: &JobRecord) -> io::Result<()> {
-        let mut bytes = encode(record);
+        let nested = record.engine_snapshot.as_ref().map(Snapshot::to_bytes);
+        self.save_with(record, nested.as_deref())
+    }
+
+    /// [`Spool::save`] with the engine snapshot supplied pre-encoded
+    /// (`Snapshot::to_bytes` output); `record.engine_snapshot` is ignored.
+    pub(crate) fn save_with(&self, record: &JobRecord, nested: Option<&[u8]>) -> io::Result<()> {
+        let mut bytes = encode_with(record, nested);
         if let Some(chaos) = &self.chaos {
             match chaos.on_spool_write() {
                 SpoolWriteChaos::None => {}
@@ -130,27 +151,36 @@ impl Spool {
             }
         }
         let target = self.file_for(record.id);
-        let tmp = target.with_extension(format!("{EXTENSION}.tmp"));
+        let tmp = tmp_for(&target);
         fs::write(&tmp, &bytes)?;
+        remove_if_present(&target)?;
         fs::rename(&tmp, &target)
     }
 
     /// Removes a job's record (idempotent).
     pub fn remove(&self, id: JobId) -> io::Result<()> {
-        match fs::remove_file(self.file_for(id)) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            other => other,
-        }
+        remove_if_present(&self.file_for(id))
     }
 
-    /// Loads every record in the directory. Unreadable files are
-    /// reported in [`SpoolScan::skipped`], never fatal.
+    /// Loads every record in the directory, adopting complete orphan
+    /// tmp files. Unreadable records are reported in
+    /// [`SpoolScan::skipped`], never fatal; unadoptable tmps are ignored.
     pub fn load_all(&self) -> io::Result<SpoolScan> {
         let mut scan = SpoolScan::default();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
-                continue;
+        // List first: adoption renames inside the directory being read.
+        let paths = fs::read_dir(&self.dir)?
+            .map(|entry| entry.map(|e| e.path()))
+            .collect::<io::Result<Vec<_>>>()?;
+        for path in paths {
+            match path.extension().and_then(|e| e.to_str()) {
+                Some(EXTENSION) => {}
+                Some("tmp") => {
+                    if let Some(record) = self.adopt(&path) {
+                        scan.records.push(record);
+                    }
+                    continue;
+                }
+                _ => continue,
             }
             if self.chaos.as_ref().is_some_and(|c| c.on_spool_read()) {
                 scan.skipped.push(SpoolCorruption {
@@ -177,9 +207,40 @@ impl Spool {
         scan.records.sort_by_key(|r| r.id);
         Ok(scan)
     }
+
+    /// Adopts `tmp` when a crash fell between a save's unlink and its
+    /// rename: its record is missing, and the tmp checksums and belongs
+    /// to that record's job. Renames it into place and returns it.
+    fn adopt(&self, tmp: &Path) -> Option<JobRecord> {
+        let target = tmp.with_extension("");
+        if target.extension().and_then(|e| e.to_str()) != Some(EXTENSION) || target.exists() {
+            return None;
+        }
+        let record = decode(&fs::read(tmp).ok()?).ok()?;
+        if target != self.file_for(record.id) {
+            return None;
+        }
+        fs::rename(tmp, &target).ok()?;
+        Some(record)
+    }
 }
 
-fn encode(record: &JobRecord) -> Vec<u8> {
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        other => other,
+    }
+}
+
+fn tmp_for(target: &Path) -> PathBuf {
+    target.with_extension(format!("{EXTENSION}.tmp"))
+}
+
+/// Encodes `record` with `nested` (an engine snapshot's `to_bytes`) as
+/// its engine snapshot; `record.engine_snapshot` is ignored. The bytes
+/// equal those of the record carrying the decoded snapshot, so callers
+/// holding the encoded form never re-encode it.
+pub(crate) fn encode_with(record: &JobRecord, nested: Option<&[u8]>) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.put_u8(SPOOL_VERSION);
     w.put_u64(record.id.0);
@@ -209,10 +270,10 @@ fn encode(record: &JobRecord) -> Vec<u8> {
     w.put_u64(record.progress.evaluations);
     w.put_f64(record.progress.best_fitness);
     w.put_bool(record.progress.best_is_optimal);
-    match &record.engine_snapshot {
-        Some(snapshot) => {
+    match nested {
+        Some(bytes) => {
             w.put_bool(true);
-            w.put_bytes(&snapshot.to_bytes());
+            w.put_bytes(bytes);
         }
         None => w.put_bool(false),
     }
@@ -315,6 +376,11 @@ mod tests {
         }
     }
 
+    fn encode(record: &JobRecord) -> Vec<u8> {
+        let nested = record.engine_snapshot.as_ref().map(Snapshot::to_bytes);
+        encode_with(record, nested.as_deref())
+    }
+
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("pga-serve-spool-{name}-{}", std::process::id()));
@@ -360,6 +426,69 @@ mod tests {
         spool.remove(JobId(7)).unwrap();
         spool.remove(JobId(7)).unwrap();
         assert!(spool.load_all().unwrap().records.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn encode_with_prepared_snapshot_bytes_matches_the_record_layout() {
+        let snapshot = Snapshot::new("ga", (0..=255).collect());
+        let bare = JobRecord {
+            engine_snapshot: None,
+            ..record(5, JobState::Poisoned("boom".into()))
+        };
+        let carrying = JobRecord {
+            engine_snapshot: Some(snapshot.clone()),
+            ..bare.clone()
+        };
+        // The version-2 layout, field by field.
+        let mut w = SnapshotWriter::new();
+        w.put_u8(2);
+        w.put_u64(5);
+        w.put_str(&bare.spec.to_json_string());
+        w.put_u8(5);
+        w.put_str("boom");
+        for v in [4, 32, 1234, 1, 32, 384] {
+            w.put_u64(v);
+        }
+        w.put_f64(21.0);
+        w.put_bool(false);
+        w.put_bool(true);
+        w.put_bytes(&snapshot.to_bytes());
+        let expected = Snapshot::new(SPOOL_TAG, w.into_bytes()).to_bytes();
+        assert_eq!(encode_with(&bare, Some(&snapshot.to_bytes())), expected);
+        assert_eq!(encode(&carrying), expected);
+        assert_eq!(decode(&expected).unwrap(), carrying);
+    }
+
+    #[test]
+    fn orphan_tmp_is_adopted_only_when_complete_and_unclaimed() {
+        let dir = tmp_dir("orphan");
+        let spool = Spool::open(&dir).unwrap();
+        let target = |id: u64| spool.file_for(JobId(id));
+        // Crash between unlink and rename: only the complete tmp is left.
+        spool.save(&record(1, JobState::Running)).unwrap();
+        fs::rename(target(1), tmp_for(&target(1))).unwrap();
+        // Crash mid-write with no record at all: a torn tmp.
+        let bytes = encode(&record(2, JobState::Running));
+        fs::write(tmp_for(&target(2)), &bytes[..bytes.len() / 2]).unwrap();
+        // Crash mid-write over a live record: the record wins.
+        spool.save(&record(3, JobState::Running)).unwrap();
+        fs::write(tmp_for(&target(3)), encode(&record(3, JobState::Queued))).unwrap();
+        // A complete tmp filed under another job's name.
+        fs::write(tmp_for(&target(4)), encode(&record(5, JobState::Running))).unwrap();
+
+        let scan = spool.load_all().unwrap();
+        assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
+        assert_eq!(
+            scan.records,
+            vec![record(1, JobState::Running), record(3, JobState::Running)]
+        );
+        assert!(target(1).exists() && !tmp_for(&target(1)).exists());
+        for id in [2, 4] {
+            assert!(!target(id).exists() && tmp_for(&target(id)).exists());
+        }
+        // Adopted once, it is an ordinary record from then on.
+        assert_eq!(spool.load_all().unwrap().records.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

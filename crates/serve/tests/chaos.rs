@@ -274,6 +274,48 @@ fn torn_spool_writes_in_every_window_never_abort_startup() {
 }
 
 #[test]
+fn crash_between_unlink_and_rename_adopts_the_complete_tmp() {
+    let dir = temp_dir("unlink-window");
+    let s = spec("solo", 53, EngineSpec::ga(16, 1), 400);
+    let first = ServeBuilder::new()
+        .spool_dir(&dir)
+        .steps_per_slice(2)
+        .quantum_steps(2)
+        .build()
+        .expect("server starts");
+    let id = first.submit(s.clone()).expect("admitted");
+    let deadline = std::time::Instant::now() + WAIT;
+    while first.progress_of(id).is_none_or(|p| p.generations < 2) {
+        assert!(std::time::Instant::now() < deadline, "job never progressed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    first.shutdown();
+
+    // A save unlinks `<id>.pgaj` before renaming its tmp into place; a
+    // crash in between leaves only the complete tmp.
+    let target = dir.join(format!("{id}.pgaj"));
+    let bytes = std::fs::read(&target).expect("record exists");
+    std::fs::rename(&target, dir.join(format!("{id}.pgaj.tmp"))).expect("rename");
+    // A torn orphan: the crash hit mid-write of a job with no record.
+    std::fs::write(dir.join("j77.pgaj.tmp"), &bytes[..bytes.len() / 2]).expect("write");
+
+    let second = ServeBuilder::new()
+        .spool_dir(&dir)
+        .build()
+        .expect("restart");
+    let report = second.recover_report();
+    assert_eq!(report.resumed, 1, "complete mid-run tmp adopted");
+    assert_eq!(report.skipped, 0, "torn orphan tmp ignored, not skipped");
+    assert!(target.exists(), "adopted tmp renamed into place");
+    assert!(second.status_json(JobId(77)).is_none());
+    assert!(second.wait(id, WAIT));
+    let progress = second.progress_of(id).expect("known");
+    assert_eq!(progress.best_fitness.to_bits(), reference_bits(&s));
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn seeded_storm_leaves_every_healthy_tenant_bit_identical() {
     let dir = temp_dir("storm");
     let storm = StormSpec::default();

@@ -58,6 +58,11 @@ timeout 300 cargo test -q -p pga-island --release --test resilient_islands
 echo "==> serve job-server suite: crash resume, fairness, HTTP (release, timeout-guarded)"
 timeout 300 cargo test -q -p pga-serve --release --test serve_resume
 
+echo "==> repo benchmark builds against the serve API and its unit tests pass"
+# The benchmark is a package of its own (not a workspace member): a serve
+# API change that breaks it must fail here, not in a benchmark run.
+cargo test -q --offline --manifest-path examples/benchmark/Cargo.toml
+
 echo "==> e19 serve load smoke (quick mode: no results files rewritten)"
 timeout 300 cargo run -q --release -p pga-bench --bin e19_serve_load -- --quick > /dev/null
 
