@@ -133,12 +133,33 @@ impl Snapshot {
     /// `magic ++ version ++ engine ++ payload ++ fnv1a(everything before)`.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+        Self::encode_after(Vec::new(), &self.engine, |w| {
+            w.buf.extend_from_slice(&self.payload);
+        })
+    }
+
+    /// Appends to `prefix` the serialized snapshot whose payload `payload`
+    /// writes in place: the appended bytes equal
+    /// `Snapshot::new(engine, p).to_bytes()` for the bytes `p` it wrote.
+    /// Lets a caller frame a snapshot, or embed large nested bytes, in
+    /// one buffer without copying the payload a second time.
+    pub fn encode_after(
+        prefix: Vec<u8>,
+        engine: &str,
+        payload: impl FnOnce(&mut SnapshotWriter),
+    ) -> Vec<u8> {
+        let start = prefix.len();
+        let mut w = SnapshotWriter { buf: prefix };
         w.buf.extend_from_slice(&MAGIC);
         w.buf.push(VERSION);
-        w.put_str(&self.engine);
-        w.put_bytes(&self.payload);
-        let checksum = fnv1a(&w.buf);
+        w.put_str(engine);
+        // Length prefix of the payload, patched once it is written.
+        let len_at = w.buf.len();
+        w.put_u64(0);
+        payload(&mut w);
+        let len = (w.buf.len() - len_at - 8) as u64;
+        w.buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        let checksum = fnv1a(&w.buf[start..]);
         w.put_u64(checksum);
         w.into_bytes()
     }

@@ -5,7 +5,8 @@ use crate::record::Recorder;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Every column a flattened event can populate, in output order. One fixed
 /// schema keeps CSV rows position-stable across event kinds.
@@ -218,11 +219,25 @@ struct StreamInner {
     dropped: u64,
     lines: VecDeque<String>,
     closed: bool,
+    /// Consumers blocked in [`JsonlStream::wait_lines`].
+    waiters: usize,
     /// Shared tally of undrained line bytes (see [`JsonlStream::metered`]).
     meter: Option<Arc<AtomicUsize>>,
 }
 
 impl StreamInner {
+    /// Takes all buffered lines, oldest first.
+    fn drain(&mut self) -> Vec<String> {
+        let lines: Vec<String> = if self.closed {
+            // A closed stream is not refilled: hand over the buffer itself.
+            std::mem::take(&mut self.lines).into()
+        } else {
+            self.lines.drain(..).collect()
+        };
+        self.meter_sub(lines.iter().map(String::len).sum());
+        lines
+    }
+
     fn meter_add(&self, bytes: usize) {
         if let Some(meter) = &self.meter {
             meter.fetch_add(bytes, Ordering::Relaxed);
@@ -252,9 +267,19 @@ impl Drop for StreamInner {
 /// is full the *oldest* lines are dropped (and counted), so a slow or
 /// absent consumer never blocks or bloats the producer. Once a closed
 /// stream is drained its buffer is freed.
+///
+/// A consumer can also block until there is something to drain:
+/// [`JsonlStream::wait_lines`] wakes on every recorded line and on close.
 #[derive(Clone)]
 pub struct JsonlStream {
-    inner: Arc<Mutex<StreamInner>>,
+    shared: Arc<StreamShared>,
+}
+
+struct StreamShared {
+    inner: Mutex<StreamInner>,
+    /// Notified on close, and on every recorded line while a consumer
+    /// waits.
+    ready: Condvar,
 }
 
 impl JsonlStream {
@@ -281,15 +306,23 @@ impl JsonlStream {
     fn build(capacity: usize, meter: Option<Arc<AtomicUsize>>) -> Self {
         assert!(capacity > 0, "stream capacity must be positive");
         Self {
-            inner: Arc::new(Mutex::new(StreamInner {
-                seq: 0,
-                capacity,
-                dropped: 0,
-                lines: VecDeque::new(),
-                closed: false,
-                meter,
-            })),
+            shared: Arc::new(StreamShared {
+                inner: Mutex::new(StreamInner {
+                    seq: 0,
+                    capacity,
+                    dropped: 0,
+                    lines: VecDeque::new(),
+                    closed: false,
+                    waiters: 0,
+                    meter,
+                }),
+                ready: Condvar::new(),
+            }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, StreamInner> {
+        self.shared.inner.lock().unwrap()
     }
 
     /// Stream with a default buffer of 64 Ki lines.
@@ -301,21 +334,32 @@ impl JsonlStream {
     /// Takes all buffered lines, oldest first (without trailing newlines).
     #[must_use]
     pub fn drain_lines(&self) -> Vec<String> {
-        let mut inner = self.inner.lock().unwrap();
-        let lines: Vec<String> = if inner.closed {
-            // A closed stream is not refilled: hand over the buffer itself.
-            std::mem::take(&mut inner.lines).into()
-        } else {
-            inner.lines.drain(..).collect()
-        };
-        inner.meter_sub(lines.iter().map(String::len).sum());
-        lines
+        self.lock().drain()
+    }
+
+    /// Blocks until a line is buffered, the stream is closed, or
+    /// `timeout` passes; then takes all buffered lines, as
+    /// [`JsonlStream::drain_lines`] does. The flag is `true` once the
+    /// stream is closed and these were its last lines: the consumer is
+    /// done. One lock per wake.
+    #[must_use]
+    pub fn wait_lines(&self, timeout: Duration) -> (Vec<String>, bool) {
+        let mut inner = self.lock();
+        inner.waiters += 1;
+        let (mut inner, _) = self
+            .shared
+            .ready
+            .wait_timeout_while(inner, timeout, |i| i.lines.is_empty() && !i.closed)
+            .unwrap();
+        inner.waiters -= 1;
+        let lines = inner.drain();
+        (lines, inner.closed)
     }
 
     /// Undrained line count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().lines.len()
+        self.lock().lines.len()
     }
 
     /// `true` when no lines are buffered.
@@ -327,23 +371,25 @@ impl JsonlStream {
     /// Lines evicted because the buffer was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.lock().dropped
     }
 
     /// Marks the stream finished: the producer will emit no more events.
-    /// Consumers drain whatever remains and stop polling.
+    /// Consumers drain whatever remains and stop waiting.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.closed = true;
         if inner.lines.is_empty() {
             inner.lines = VecDeque::new();
         }
+        drop(inner);
+        self.shared.ready.notify_all();
     }
 
     /// `true` once [`JsonlStream::close`] was called.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        self.lock().closed
     }
 }
 
@@ -355,7 +401,7 @@ impl Default for JsonlStream {
 
 impl Recorder for JsonlStream {
     fn record(&mut self, event: &Event) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let line = jsonl_line(inner.seq, event);
         inner.seq += 1;
         if inner.lines.len() == inner.capacity {
@@ -366,6 +412,11 @@ impl Recorder for JsonlStream {
         }
         inner.meter_add(line.len());
         inner.lines.push_back(line);
+        // Producers pay for a wake only while someone waits.
+        if inner.waiters > 0 {
+            drop(inner);
+            self.shared.ready.notify_all();
+        }
     }
 }
 
@@ -466,6 +517,64 @@ mod tests {
     }
 
     #[test]
+    fn wait_lines_wakes_on_record_and_close_and_is_done_only_once_drained() {
+        use std::time::Instant;
+        let timeout = Duration::from_secs(30);
+        let stream = JsonlStream::with_capacity(8);
+        let events = sample_events();
+        // Lines already buffered return at once, not done.
+        let mut producer = stream.clone();
+        producer.record(&events[0]);
+        let (lines, done) = stream.wait_lines(timeout);
+        assert_eq!((lines.len(), done), (1, false));
+        // Waits until the consumer is blocked in `wait_lines`, so each
+        // wake below is forced to come from the other thread.
+        let once_waiting = |stream: &JsonlStream| {
+            while stream.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+        };
+        // A record from another thread wakes the waiter.
+        let started = Instant::now();
+        let handle = {
+            let mut producer = stream.clone();
+            let event = events[1].clone();
+            std::thread::spawn(move || {
+                once_waiting(&producer);
+                producer.record(&event);
+            })
+        };
+        let (lines, done) = stream.wait_lines(timeout);
+        assert_eq!((lines.len(), done), (1, false));
+        assert!(started.elapsed() < timeout / 2, "woken by the record");
+        handle.join().unwrap();
+        // A close from another thread wakes it, done.
+        let closer = stream.clone();
+        let started = Instant::now();
+        let handle = std::thread::spawn(move || {
+            once_waiting(&closer);
+            closer.close();
+        });
+        let (lines, done) = stream.wait_lines(timeout);
+        assert_eq!((lines.len(), done), (0, true), "woken by the close");
+        assert!(started.elapsed() < timeout / 2, "woken by the close");
+        handle.join().unwrap();
+        // Lines left at the close come back with `done`: the last ones.
+        let closing = JsonlStream::with_capacity(8);
+        closing.clone().record(&events[2]);
+        closing.close();
+        assert_eq!(
+            closing.wait_lines(timeout),
+            (vec![jsonl_line(0, &events[2])], true)
+        );
+        assert_eq!(closing.wait_lines(timeout), (Vec::new(), true));
+        // With nothing buffered and no close, it waits out the timeout.
+        let open = JsonlStream::with_capacity(2);
+        let (lines, done) = open.wait_lines(Duration::from_millis(10));
+        assert!(lines.is_empty() && !done);
+    }
+
+    #[test]
     fn metered_streams_count_undrained_bytes_and_free_closed_buffers() {
         let meter = Arc::new(AtomicUsize::new(0));
         let a = JsonlStream::metered(2, Arc::clone(&meter));
@@ -477,7 +586,7 @@ mod tests {
             pb.record(event);
         }
         // `a` evicted its oldest line; the meter counts what is held.
-        let held = |s: &JsonlStream| s.inner.lock().unwrap().lines.iter().map(String::len).sum();
+        let held = |s: &JsonlStream| s.lock().lines.iter().map(String::len).sum();
         assert_eq!(meter.load(Ordering::Relaxed), held(&a) + held(&b));
         let drained: usize = a.drain_lines().iter().map(String::len).sum();
         assert_eq!(meter.load(Ordering::Relaxed), held(&b));
@@ -485,7 +594,7 @@ mod tests {
         // A closed stream gives its buffer away on the final drain.
         b.close();
         assert_eq!(b.drain_lines().len(), events.len());
-        assert_eq!(b.inner.lock().unwrap().lines.capacity(), 0);
+        assert_eq!(b.lock().lines.capacity(), 0);
         assert_eq!(meter.load(Ordering::Relaxed), 0);
         // Dropping a stream with undrained lines releases them too.
         pa.record(&events[0]);

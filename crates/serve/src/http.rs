@@ -20,9 +20,9 @@
 //! is read (cap configurable via `ServeBuilder::max_body_bytes`).
 //!
 //! The events endpoint streams each line the engine's recorder emits,
-//! polling the job's shared buffer until the job reaches a terminal
-//! state and the buffer drains; the end of the body is signalled by the
-//! connection closing.
+//! waking on every line appended to the job's shared buffer, until the
+//! job reaches a terminal state and the buffer drains; the end of the
+//! body is signalled by the connection closing.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -37,8 +37,9 @@ use crate::scheduler::{ServeRuntime, SubmitError};
 
 /// Largest accepted header block.
 const MAX_HEAD: usize = 16 << 10;
-/// Poll interval for the events stream.
-const EVENT_POLL: Duration = Duration::from_millis(5);
+/// Longest an events stream blocks without a wake from its job: a
+/// safety net only, since every recorded line and the close wake it.
+const EVENT_WAIT: Duration = Duration::from_secs(1);
 /// Read and write timeout per connection.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -471,20 +472,20 @@ fn handle_events(runtime: &ServeRuntime, conn: &mut TcpStream, id: &str) -> io::
     conn.write_all(
         b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
     )?;
+    let mut batch = Vec::new();
     loop {
-        let lines = stream.drain_lines();
+        let (lines, done) = stream.wait_lines(EVENT_WAIT);
+        // One write per drained batch, not two per line.
+        batch.clear();
         for line in &lines {
-            conn.write_all(line.as_bytes())?;
-            conn.write_all(b"\n")?;
+            batch.extend_from_slice(line.as_bytes());
+            batch.push(b'\n');
         }
-        if !lines.is_empty() {
-            conn.flush()?;
+        if !batch.is_empty() {
+            conn.write_all(&batch)?;
         }
-        if stream.is_closed() && stream.is_empty() {
+        if done {
             break;
-        }
-        if lines.is_empty() {
-            std::thread::sleep(EVENT_POLL);
         }
     }
     conn.flush()

@@ -26,7 +26,7 @@
 //! | [`factory`] | [`ProblemRegistry`]/[`FamilyRegistry`]: spec → [`BoxedEngine`](pga_core::erased::BoxedEngine) |
 //! | [`job`] | job identity, lifecycle, status documents |
 //! | [`scheduler`] | slice scheduling, DRR fairness, admission, recovery |
-//! | [`spool`] | per-slice crash-safe checkpoints (PGAS container) |
+//! | [`spool`] | per-slice crash-safe checkpoints (append-only log of PGAS records) |
 //! | [`http`] | the HTTP/1.1 endpoint surface |
 //! | [`metrics`] | `GET /metrics` plain-text rendering |
 //!

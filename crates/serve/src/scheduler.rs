@@ -55,7 +55,7 @@ use crate::spool::{JobRecord, Spool};
 /// Runtime tuning knobs (validated by `ServeBuilder`).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Directory for per-job checkpoint files.
+    /// Directory of the checkpoint log (see [`Spool`]).
     pub spool_dir: PathBuf,
     /// Admission bound: maximum live (non-terminal) jobs.
     pub max_jobs: usize,
@@ -122,7 +122,8 @@ pub struct RecoverReport {
     pub resumed: usize,
     /// Terminal jobs whose status was retained.
     pub terminal: usize,
-    /// Spool files skipped as corrupt or unbuildable.
+    /// Spool frames and files skipped as corrupt (and not superseded
+    /// by a later valid frame of the same job).
     pub skipped: usize,
 }
 
@@ -1100,6 +1101,11 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                 if !shared.draining.load(Ordering::Acquire) {
                     let batch = select_batch(&mut st, &shared.config);
                     if !batch.is_empty() {
+                        // Published under the state lock that took the
+                        // engines out, so `drain` (which reads it under
+                        // the same lock) never sees a checked-out engine
+                        // with nothing in flight.
+                        shared.in_flight.store(batch.len(), Ordering::Release);
                         break batch;
                     }
                 }
@@ -1127,7 +1133,6 @@ fn scheduler_loop(shared: &Shared, spool: &Spool) {
                 };
             }
         };
-        shared.in_flight.store(batch.len(), Ordering::Release);
         // Slices run in parallel on the global work-stealing pool; each
         // engine may itself fan out below this level.
         let _: usize = batch

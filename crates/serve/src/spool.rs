@@ -1,40 +1,77 @@
-//! Crash-safe job spool: one file per job, rewritten after every slice.
+//! Crash-safe job spool: an append-only log of checkpoint frames.
 //!
 //! Each record reuses the core PGAS container ([`Snapshot`] with the
-//! reserved tag `serve-job`), so spool files get the magic, versioning,
-//! and FNV-1a checksum of engine checkpoints for free. The payload holds
-//! the job's identity, its verbatim wire spec (from which the engine is
+//! reserved tag `serve-job`), so records get the magic, versioning, and
+//! FNV-1a checksum of engine checkpoints for free. The payload holds the
+//! job's identity, its verbatim wire spec (from which the engine is
 //! rebuilt deterministically), scheduler counters, mirrored progress, and
 //! the engine's own nested PGAS snapshot.
 //!
-//! A save writes `<id>.pgaj.tmp`, unlinks `<id>.pgaj`, then renames the
-//! tmp into place. It never renames over a live record: on ext4 a
-//! replace-by-rename forces the new file to disk, which would make every
-//! slice pay a synchronous writeback. A crash can therefore leave three
-//! shapes, and recovery handles each:
+//! ## Frames
 //!
-//! * torn tmp, record intact (crash mid-write): the tmp is ignored;
-//! * complete tmp, no record (crash between unlink and rename): the tmp
-//!   is *adopted* — renamed into place and loaded — if it checksums and
-//!   names the job its file name says; otherwise it is ignored;
-//! * torn record (a device that dropped the tail): skipped and reported.
+//! A save appends one frame, `[magic u32][job id u64][len u32][record]`
+//! (little-endian), to the active segment file `spool-<n>` with a single
+//! `write_all`. The header is built into the record's encode buffer, so
+//! the payload is never copied a second time. A frame with `len = 0` is a
+//! tombstone: [`Spool::remove`] appends one. The header has no checksum
+//! of its own; the record's checksum guards it, and a frame whose header
+//! names another job than its record is rejected.
+//!
+//! ## Recovery
+//!
+//! [`Spool::load_all`] makes one streaming pass over the segments in
+//! order, reading frame by frame (never a whole segment). A job's last
+//! valid frame wins and a tombstone removes it. The same pass builds the
+//! in-memory append index (job → segment, offset, length). After a scan,
+//! appends go to a fresh segment, never after a possibly torn tail; it is
+//! created at the first append, so a scan alone creates or modifies no
+//! file.
+//!
+//! ## Compaction
+//!
+//! Once the dead bytes (superseded frames, tombstones, torn data) exceed
+//! `max(live, 1 MiB)`, each job's latest frame is copied, one frame at a
+//! time, into segment `n + 1`, which becomes the active one; then the
+//! older segments are deleted, oldest first. The segments therefore
+//! never hold more than `2 × live + 1 MiB`.
+//!
+//! ## Crash shapes
+//!
+//! * **Torn tail** (a crash mid-append): a frame running past the end of
+//!   its segment with no frame after it. It is ignored and not reported;
+//!   the job's previous frame wins.
+//! * **Corrupt frame** (bad magic, bad checksum, a header naming another
+//!   job): reported in [`SpoolScan::skipped`] unless a later valid frame
+//!   of the same job supersedes it, in which case it is dropped silently.
+//!   The reader resynchronises on the next frame magic, so the frames
+//!   after it are still read.
+//! * **Crash mid-compaction**: segment `n + 1` holds only copies of
+//!   frames that are already the latest in the older segments, so a
+//!   partial `n + 1` beside them recovers the same records. Deleting the
+//!   old segments oldest first never leaves a removed job's frames
+//!   without the tombstone that removes them.
+//! * **Old layout**: a leftover one-file-per-job `<id>.pgaj` record is
+//!   not migrated; it is reported in `skipped`.
 //!
 //! Records survive a process crash. There is no fsync, so a power loss
-//! may lose the newest record of a job (its previous slice is then
+//! may lose the newest records of a job (its previous slice is then
 //! replayed, or the job is missing if it had only one). Recovery loads
 //! every readable record and reports unreadable ones instead of failing
 //! the whole restart — one corrupt job must not take the server down.
 //!
 //! For fault drills a [`ChaosInjector`] can be armed on the spool:
 //! scripted write indices then fail with an IO error (exercising the
-//! scheduler's persist-retry/degraded path) or tear the record on disk
-//! (exercising checksum-guarded recovery). The default is `None` and
-//! costs one branch per operation.
+//! scheduler's persist-retry/degraded path) or tear the record inside its
+//! frame (exercising checksum-guarded recovery), and scripted read
+//! indices (one per frame scanned) fail. The default is `None` and costs
+//! one branch per operation.
 
-use std::fs;
-use std::io;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use pga_cluster::chaos::{ChaosInjector, SpoolWriteChaos};
@@ -49,8 +86,16 @@ const SPOOL_TAG: &str = "serve-job";
 /// the `Poisoned` state tag; version-1 records still decode (with
 /// `retries = 0`).
 const SPOOL_VERSION: u8 = 2;
-/// Spool file extension.
-const EXTENSION: &str = "pgaj";
+/// Magic opening every frame.
+const FRAME_MAGIC: [u8; 4] = *b"PGJF";
+/// Frame header length: magic, job id, record length.
+const HEADER_LEN: usize = 16;
+/// File-name prefix of segments (`spool-<n>`).
+const SEGMENT_PREFIX: &str = "spool-";
+/// Extension of the old one-file-per-job layout's records.
+const OLD_EXTENSION: &str = ".pgaj";
+/// Dead bytes always tolerated before compaction.
+const COMPACT_FLOOR: u64 = 1 << 20;
 
 /// A job's durable state, as written after every slice.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,24 +134,76 @@ pub struct SpoolCorruption {
 /// report of everything that was skipped.
 #[derive(Debug, Default)]
 pub struct SpoolScan {
-    /// Records that decoded and checksummed cleanly, ordered by id.
+    /// Each job's latest valid record, ordered by id.
     pub records: Vec<JobRecord>,
-    /// Files that did not (corrupt, truncated, foreign).
+    /// Frames and files that did not load (corrupt, foreign, old
+    /// layout) and were not superseded by a later valid frame.
     pub skipped: Vec<SpoolCorruption>,
 }
 
-/// A directory of per-job checkpoint files.
+/// A directory holding an append-only log of checkpoint frames.
 pub struct Spool {
     dir: PathBuf,
     chaos: Option<Arc<ChaosInjector>>,
+    log: Mutex<Log>,
+}
+
+/// Where a job's latest valid frame lives.
+#[derive(Clone, Copy, Debug)]
+struct FrameLoc {
+    segment: u64,
+    offset: u64,
+    /// Whole frame, header included.
+    len: u64,
+}
+
+/// The append side of the spool, built by a scan.
+#[derive(Default)]
+struct Log {
+    /// `false` until a scan has indexed the directory.
+    indexed: bool,
+    /// Every segment known: number → bytes.
+    segments: BTreeMap<u64, u64>,
+    /// Each live job's latest valid frame.
+    index: HashMap<JobId, FrameLoc>,
+    /// Bytes of the indexed frames.
+    live: u64,
+    /// The segment appends go to, once created.
+    active: Option<(u64, File)>,
+}
+
+impl Log {
+    /// Points `id` at `loc` (or forgets it), keeping `live` in step.
+    fn set(&mut self, id: JobId, loc: Option<FrameLoc>) {
+        let old = match loc {
+            Some(loc) => {
+                self.live += loc.len;
+                self.index.insert(id, loc)
+            }
+            None => self.index.remove(&id),
+        };
+        self.live -= old.map_or(0, |l| l.len);
+    }
+
+    fn dead(&self) -> u64 {
+        self.segments
+            .values()
+            .sum::<u64>()
+            .saturating_sub(self.live)
+    }
 }
 
 impl Spool {
-    /// Opens (creating if needed) the spool directory.
+    /// Opens (creating if needed) the spool directory. Touches no file
+    /// in it.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Self { dir, chaos: None })
+        Ok(Self {
+            dir,
+            chaos: None,
+            log: Mutex::new(Log::default()),
+        })
     }
 
     /// Arms a chaos injector: scripted writes/reads fail or tear.
@@ -120,12 +217,11 @@ impl Spool {
         &self.dir
     }
 
-    fn file_for(&self, id: JobId) -> PathBuf {
-        self.dir.join(format!("{id}.{EXTENSION}"))
+    fn segment_path(&self, n: u64) -> PathBuf {
+        self.dir.join(format!("{SEGMENT_PREFIX}{n}"))
     }
 
-    /// Persists one record: tmp file, unlink, rename (see the module
-    /// docs for the crash windows).
+    /// Persists one record: appends its frame to the log.
     pub fn save(&self, record: &JobRecord) -> io::Result<()> {
         let nested = record.engine_snapshot.as_ref().map(Snapshot::to_bytes);
         self.save_with(record, nested.as_deref())
@@ -134,7 +230,8 @@ impl Spool {
     /// [`Spool::save`] with the engine snapshot supplied pre-encoded
     /// (`Snapshot::to_bytes` output); `record.engine_snapshot` is ignored.
     pub(crate) fn save_with(&self, record: &JobRecord, nested: Option<&[u8]>) -> io::Result<()> {
-        let mut bytes = encode_with(record, nested);
+        let mut frame = encode_frame(record, nested)?;
+        let mut torn = false;
         if let Some(chaos) = &self.chaos {
             match chaos.on_spool_write() {
                 SpoolWriteChaos::None => {}
@@ -142,109 +239,403 @@ impl Spool {
                     return Err(io::Error::other("chaos: injected spool write error"));
                 }
                 SpoolWriteChaos::Truncate(keep) => {
-                    // Silent tear: the record lands corrupt (as if the
-                    // device dropped the tail after the rename). The
-                    // write "succeeds"; the checksum catches the damage
-                    // at the next recovery scan.
-                    bytes.truncate(keep.min(bytes.len()));
+                    // Silent tear: the record lands corrupt inside a
+                    // well-formed frame (as if the device dropped its
+                    // tail). The write "succeeds"; the checksum catches
+                    // the damage at the next recovery scan, and the
+                    // index keeps the job's previous frame.
+                    frame.truncate(HEADER_LEN + keep.min(frame.len() - HEADER_LEN));
+                    set_frame_len(&mut frame)?;
+                    torn = true;
                 }
             }
         }
-        let target = self.file_for(record.id);
-        let tmp = tmp_for(&target);
-        fs::write(&tmp, &bytes)?;
-        remove_if_present(&target)?;
-        fs::rename(&tmp, &target)
+        let mut log = lock(&self.log);
+        self.index_once(&mut log)?;
+        let loc = self.append(&mut log, &frame)?;
+        if !torn {
+            log.set(record.id, Some(loc));
+        }
+        self.compact_if_due(&mut log);
+        Ok(())
     }
 
-    /// Removes a job's record (idempotent).
+    /// Removes a job's record by appending a tombstone (idempotent: a
+    /// job with no live record writes nothing).
     pub fn remove(&self, id: JobId) -> io::Result<()> {
-        remove_if_present(&self.file_for(id))
+        let mut log = lock(&self.log);
+        self.index_once(&mut log)?;
+        if !log.index.contains_key(&id) {
+            return Ok(());
+        }
+        let mut tombstone = Vec::with_capacity(HEADER_LEN);
+        tombstone.extend_from_slice(&FRAME_MAGIC);
+        tombstone.extend_from_slice(&id.0.to_le_bytes());
+        tombstone.extend_from_slice(&0u32.to_le_bytes());
+        self.append(&mut log, &tombstone)?;
+        log.set(id, None);
+        self.compact_if_due(&mut log);
+        Ok(())
     }
 
-    /// Loads every record in the directory, adopting complete orphan
-    /// tmp files. Unreadable records are reported in
-    /// [`SpoolScan::skipped`], never fatal; unadoptable tmps are ignored.
+    /// Loads each job's latest valid record in one streaming pass over
+    /// the segments, and indexes them for later appends. Unreadable
+    /// frames and files are reported in [`SpoolScan::skipped`] (see the
+    /// module docs), never fatal. Creates and modifies no file.
     pub fn load_all(&self) -> io::Result<SpoolScan> {
-        let mut scan = SpoolScan::default();
-        // List first: adoption renames inside the directory being read.
-        let paths = fs::read_dir(&self.dir)?
-            .map(|entry| entry.map(|e| e.path()))
-            .collect::<io::Result<Vec<_>>>()?;
-        for path in paths {
-            match path.extension().and_then(|e| e.to_str()) {
-                Some(EXTENSION) => {}
-                Some("tmp") => {
-                    if let Some(record) = self.adopt(&path) {
-                        scan.records.push(record);
-                    }
-                    continue;
-                }
-                _ => continue,
-            }
-            if self.chaos.as_ref().is_some_and(|c| c.on_spool_read()) {
-                scan.skipped.push(SpoolCorruption {
+        let mut log = lock(&self.log);
+        self.scan(&mut log, self.chaos.as_deref())
+    }
+
+    /// Indexes the directory before the first append of a spool that
+    /// was never scanned, so compaction keeps records it did not write.
+    fn index_once(&self, log: &mut Log) -> io::Result<()> {
+        if !log.indexed {
+            self.scan(log, None)?;
+        }
+        Ok(())
+    }
+
+    fn scan(&self, log: &mut Log, chaos: Option<&ChaosInjector>) -> io::Result<SpoolScan> {
+        let mut recovery = Recovery::default();
+        let mut segments = BTreeMap::new();
+        for entry in fs::read_dir(&self.dir)? {
+            let path = entry?.path();
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if let Some(n) = name
+                .strip_prefix(SEGMENT_PREFIX)
+                .and_then(|n| n.parse::<u64>().ok())
+            {
+                segments.insert(n, path);
+            } else if name.ends_with(OLD_EXTENSION) {
+                recovery.unkeyed.push(SpoolCorruption {
                     path,
-                    message: "chaos: injected spool read error".into(),
+                    message: "record in the old one-file-per-job spool layout (not migrated)"
+                        .into(),
                 });
+            }
+        }
+        let mut sizes = BTreeMap::new();
+        for (n, path) in segments {
+            let file = match File::open(&path) {
+                // Compacted away under a concurrent reader.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                other => other,
+            };
+            // Frames appended after the length is taken are not read.
+            let scanned = file.and_then(|file| {
+                let len = file.metadata()?.len();
+                sizes.insert(n, len);
+                scan_segment(n, &path, file, len, chaos, &mut recovery)
+            });
+            if let Err(e) = scanned {
+                recovery.unkeyed.push(SpoolCorruption {
+                    path,
+                    message: e.to_string(),
+                });
+            }
+        }
+        *log = Log {
+            indexed: true,
+            segments: sizes,
+            ..Log::default()
+        };
+        let mut records = Vec::with_capacity(recovery.live.len());
+        for (id, (record, loc)) in recovery.live {
+            log.set(id, Some(loc));
+            records.push(record);
+        }
+        records.sort_by_key(|r| r.id);
+        let mut failed: Vec<(JobId, SpoolCorruption)> = recovery.failed.into_iter().collect();
+        failed.sort_by_key(|(id, _)| *id);
+        let mut skipped = recovery.unkeyed;
+        skipped.extend(failed.into_iter().map(|(_, c)| c));
+        Ok(SpoolScan { records, skipped })
+    }
+
+    /// Appends `frame` to the active segment (creating a fresh one if
+    /// there is none) with one `write_all`; returns where it landed.
+    fn append(&self, log: &mut Log, frame: &[u8]) -> io::Result<FrameLoc> {
+        let (segment, mut file) = match log.active.take() {
+            Some(active) => active,
+            None => {
+                let n = log.segments.keys().next_back().map_or(0, |n| n + 1);
+                let file = OpenOptions::new()
+                    .append(true)
+                    .create_new(true)
+                    .open(self.segment_path(n))?;
+                log.segments.insert(n, 0);
+                (n, file)
+            }
+        };
+        let offset = log.segments.get(&segment).copied().unwrap_or(0);
+        if let Err(e) = file.write_all(frame) {
+            // Part of the frame may have landed: account for it, and
+            // never append after it again.
+            if let Ok(meta) = file.metadata() {
+                log.segments.insert(segment, meta.len());
+            }
+            return Err(e);
+        }
+        let len = frame.len() as u64;
+        log.segments.insert(segment, offset + len);
+        log.active = Some((segment, file));
+        Ok(FrameLoc {
+            segment,
+            offset,
+            len,
+        })
+    }
+
+    /// Compacts once the dead bytes exceed `max(live, 1 MiB)`. A failed
+    /// compaction leaves every record where it was; it is retried at a
+    /// later append.
+    fn compact_if_due(&self, log: &mut Log) {
+        if log.dead() > log.live.max(COMPACT_FLOOR) {
+            let _ = self.compact(log);
+        }
+    }
+
+    /// Copies each live job's latest frame, one at a time and in log
+    /// order, into a new segment, which becomes the active one; then
+    /// deletes the older segments, oldest first.
+    fn compact(&self, log: &mut Log) -> io::Result<()> {
+        let target = log.segments.keys().next_back().map_or(0, |n| n + 1);
+        let mut out = OpenOptions::new()
+            .append(true)
+            .create_new(true)
+            .open(self.segment_path(target))?;
+        // From here on later appends must land after the new segment.
+        log.active = None;
+        log.segments.insert(target, 0);
+        let mut frames: Vec<(JobId, FrameLoc)> =
+            log.index.iter().map(|(id, l)| (*id, *l)).collect();
+        frames.sort_by_key(|(_, l)| (l.segment, l.offset));
+        let mut copy = || -> io::Result<Vec<(JobId, FrameLoc)>> {
+            let mut readers: HashMap<u64, File> = HashMap::new();
+            let mut buf = Vec::new();
+            let mut moved = Vec::with_capacity(frames.len());
+            let mut offset = 0;
+            for &(id, loc) in &frames {
+                let reader = match readers.entry(loc.segment) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(File::open(self.segment_path(loc.segment))?),
+                };
+                buf.resize(loc.len as usize, 0);
+                reader.seek(SeekFrom::Start(loc.offset))?;
+                reader.read_exact(&mut buf)?;
+                out.write_all(&buf)?;
+                moved.push((
+                    id,
+                    FrameLoc {
+                        segment: target,
+                        offset,
+                        len: loc.len,
+                    },
+                ));
+                offset += loc.len;
+            }
+            Ok(moved)
+        };
+        let moved = match copy() {
+            Ok(moved) => moved,
+            Err(e) => {
+                // Nothing points into the partial copy: drop it (or keep
+                // it known, all dead, for a later compaction to delete).
+                if fs::remove_file(self.segment_path(target)).is_ok() {
+                    log.segments.remove(&target);
+                }
+                return Err(e);
+            }
+        };
+        log.segments
+            .insert(target, moved.iter().map(|(_, l)| l.len).sum());
+        for (id, loc) in moved {
+            log.set(id, Some(loc));
+        }
+        log.active = Some((target, out));
+        let old: Vec<u64> = log.segments.range(..target).map(|(n, _)| *n).collect();
+        for n in old {
+            match fs::remove_file(self.segment_path(n)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {
+                    log.segments.remove(&n);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What one recovery pass has found so far.
+#[derive(Default)]
+struct Recovery {
+    /// Each live job's latest valid record, and where its frame lives.
+    live: HashMap<JobId, (JobRecord, FrameLoc)>,
+    /// Each job's latest failed frame not (yet) superseded.
+    failed: HashMap<JobId, SpoolCorruption>,
+    /// Damage no job can supersede (bad magic, unreadable files).
+    unkeyed: Vec<SpoolCorruption>,
+}
+
+/// Reads segment `n` frame by frame into `recovery` (see the module
+/// docs for how each crash shape is treated).
+fn scan_segment(
+    n: u64,
+    path: &Path,
+    file: File,
+    len: u64,
+    chaos: Option<&ChaosInjector>,
+    recovery: &mut Recovery,
+) -> io::Result<()> {
+    let mut reader = BufReader::with_capacity(64 << 10, file);
+    let mut record = Vec::new();
+    let mut pos = 0;
+    let corruption = |pos: u64, what: String| SpoolCorruption {
+        path: path.to_path_buf(),
+        message: format!("frame at offset {pos}: {what}"),
+    };
+    while len - pos >= HEADER_LEN as u64 {
+        let mut header = [0u8; HEADER_LEN];
+        reader.read_exact(&mut header)?;
+        let (magic, rest) = header.split_at(4);
+        let (id, frame_len) = rest.split_at(8);
+        let id = JobId(u64::from_le_bytes(id.try_into().unwrap_or_default()));
+        let frame_len = u64::from(u32::from_le_bytes(frame_len.try_into().unwrap_or_default()));
+        let end = pos + HEADER_LEN as u64 + frame_len;
+        // Why this frame failed, if it did; the scan then resyncs on the
+        // next frame magic after its start.
+        let failure = if magic != FRAME_MAGIC {
+            recovery
+                .unkeyed
+                .push(corruption(pos, "bad frame magic".into()));
+            None
+        } else if end > len {
+            // Torn tail, unless a frame follows (then it is damage).
+            Some("frame runs past the end of its segment".to_string())
+        } else {
+            record.resize(frame_len as usize, 0);
+            reader.read_exact(&mut record)?;
+            if chaos.is_some_and(ChaosInjector::on_spool_read) {
+                recovery.failed.insert(
+                    id,
+                    corruption(pos, "chaos: injected spool read error".into()),
+                );
+                pos = end;
                 continue;
             }
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    scan.skipped.push(SpoolCorruption {
-                        path,
-                        message: e.to_string(),
-                    });
+            if frame_len == 0 {
+                recovery.live.remove(&id);
+                recovery.failed.remove(&id);
+                pos = end;
+                continue;
+            }
+            match decode(&record) {
+                Ok(decoded) if decoded.id == id => {
+                    let loc = FrameLoc {
+                        segment: n,
+                        offset: pos,
+                        len: end - pos,
+                    };
+                    recovery.live.insert(id, (decoded, loc));
+                    recovery.failed.remove(&id);
+                    pos = end;
                     continue;
                 }
-            };
-            match decode(&bytes) {
-                Ok(record) => scan.records.push(record),
-                Err(message) => scan.skipped.push(SpoolCorruption { path, message }),
+                Ok(decoded) => Some(format!("header names {id}, record holds {}", decoded.id)),
+                Err(message) => Some(message),
+            }
+        };
+        match resync(&mut reader, pos + 1, len)? {
+            Some(next) => {
+                if let Some(message) = failure {
+                    recovery.failed.insert(id, corruption(pos, message));
+                }
+                pos = next;
+            }
+            None => {
+                // Nothing valid follows: a frame running past the end
+                // is a torn tail (ignored); any other damage counts.
+                if let Some(message) = failure.filter(|_| end <= len) {
+                    recovery.failed.insert(id, corruption(pos, message));
+                }
+                break;
             }
         }
-        scan.records.sort_by_key(|r| r.id);
-        Ok(scan)
     }
+    Ok(())
+}
 
-    /// Adopts `tmp` when a crash fell between a save's unlink and its
-    /// rename: its record is missing, and the tmp checksums and belongs
-    /// to that record's job. Renames it into place and returns it.
-    fn adopt(&self, tmp: &Path) -> Option<JobRecord> {
-        let target = tmp.with_extension("");
-        if target.extension().and_then(|e| e.to_str()) != Some(EXTENSION) || target.exists() {
-            return None;
+/// Scans forward from `from` for the next frame magic; leaves `reader`
+/// positioned on it and returns its offset, or `None` at the end.
+fn resync(reader: &mut BufReader<File>, from: u64, len: u64) -> io::Result<Option<u64>> {
+    reader.seek(SeekFrom::Start(from))?;
+    let magic = u32::from_be_bytes(FRAME_MAGIC);
+    let mut window = 0u32;
+    let mut pos = from;
+    while pos < len {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            break;
         }
-        let record = decode(&fs::read(tmp).ok()?).ok()?;
-        if target != self.file_for(record.id) {
-            return None;
+        let take = buf.len().min((len - pos) as usize);
+        for (i, byte) in buf[..take].iter().enumerate() {
+            window = (window << 8) | u32::from(*byte);
+            let read = pos + i as u64 + 1;
+            if read - from >= 4 && window == magic {
+                let start = read - 4;
+                reader.seek(SeekFrom::Start(start))?;
+                return Ok(Some(start));
+            }
         }
-        fs::rename(tmp, &target).ok()?;
-        Some(record)
+        reader.consume(take);
+        pos += take as u64;
     }
+    Ok(None)
 }
 
-fn remove_if_present(path: &Path) -> io::Result<()> {
-    match fs::remove_file(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        other => other,
-    }
+/// Encodes `record`'s frame: header, then the record with `nested` (an
+/// engine snapshot's `to_bytes`) as its engine snapshot;
+/// `record.engine_snapshot` is ignored. The record bytes equal those of
+/// the record carrying the decoded snapshot, so callers holding the
+/// encoded form never re-encode it.
+fn encode_frame(record: &JobRecord, nested: Option<&[u8]>) -> io::Result<Vec<u8>> {
+    let spec = record.spec.to_json_string();
+    let message = match &record.state {
+        JobState::Failed(m) | JobState::Poisoned(m) => m.len(),
+        _ => 0,
+    };
+    // Room for the whole frame up front: growing would copy the payload.
+    let capacity = HEADER_LEN + 256 + spec.len() + message + nested.map_or(0, <[u8]>::len);
+    let mut header = Vec::with_capacity(capacity);
+    header.extend_from_slice(&FRAME_MAGIC);
+    header.extend_from_slice(&record.id.0.to_le_bytes());
+    header.extend_from_slice(&[0; 4]);
+    let mut frame = Snapshot::encode_after(header, SPOOL_TAG, |w| {
+        put_record(w, record, &spec, nested);
+    });
+    set_frame_len(&mut frame)?;
+    Ok(frame)
 }
 
-fn tmp_for(target: &Path) -> PathBuf {
-    target.with_extension(format!("{EXTENSION}.tmp"))
+/// Writes the record's length into its frame header.
+fn set_frame_len(frame: &mut [u8]) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - HEADER_LEN)
+        .map_err(|_| io::Error::other("spool record exceeds 4 GiB"))?;
+    frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
-/// Encodes `record` with `nested` (an engine snapshot's `to_bytes`) as
-/// its engine snapshot; `record.engine_snapshot` is ignored. The bytes
-/// equal those of the record carrying the decoded snapshot, so callers
-/// holding the encoded form never re-encode it.
-pub(crate) fn encode_with(record: &JobRecord, nested: Option<&[u8]>) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
+fn put_record(w: &mut SnapshotWriter, record: &JobRecord, spec: &str, nested: Option<&[u8]>) {
     w.put_u8(SPOOL_VERSION);
     w.put_u64(record.id.0);
-    w.put_str(&record.spec.to_json_string());
+    w.put_str(spec);
     match &record.state {
         JobState::Queued => w.put_u8(0),
         JobState::Running => w.put_u8(1),
@@ -277,7 +668,6 @@ pub(crate) fn encode_with(record: &JobRecord, nested: Option<&[u8]>) -> Vec<u8> 
         }
         None => w.put_bool(false),
     }
-    Snapshot::new(SPOOL_TAG, w.into_bytes()).to_bytes()
 }
 
 fn decode(bytes: &[u8]) -> Result<JobRecord, String> {
@@ -376,9 +766,10 @@ mod tests {
         }
     }
 
-    fn encode(record: &JobRecord) -> Vec<u8> {
+    /// `record`'s frame, as a save appends it.
+    fn frame(record: &JobRecord) -> Vec<u8> {
         let nested = record.engine_snapshot.as_ref().map(Snapshot::to_bytes);
-        encode_with(record, nested.as_deref())
+        encode_frame(record, nested.as_deref()).unwrap()
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -386,6 +777,26 @@ mod tests {
             std::env::temp_dir().join(format!("pga-serve-spool-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, fs::read(&path).unwrap())
+            })
+            .collect()
+    }
+
+    /// A fresh spool directory holding `bytes` as its only segment.
+    fn spool_with_segment(dir: &Path, bytes: &[u8]) -> Spool {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).unwrap();
+        fs::write(dir.join("spool-0"), bytes).unwrap();
+        Spool::open(dir).unwrap()
     }
 
     #[test]
@@ -403,7 +814,7 @@ mod tests {
         for (i, state) in states.iter().enumerate() {
             spool.save(&record(i as u64, state.clone())).unwrap();
         }
-        let scan = spool.load_all().unwrap();
+        let scan = Spool::open(&dir).unwrap().load_all().unwrap();
         assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
         assert_eq!(scan.records.len(), states.len());
         for (i, state) in states.iter().enumerate() {
@@ -424,8 +835,13 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].steps, 99);
         spool.remove(JobId(7)).unwrap();
+        let written = files(&dir);
         spool.remove(JobId(7)).unwrap();
+        assert_eq!(files(&dir), written, "a second remove writes nothing");
         assert!(spool.load_all().unwrap().records.is_empty());
+        // The tombstone is durable: a fresh spool sees the job removed.
+        let reopened = Spool::open(&dir).unwrap().load_all().unwrap();
+        assert!(reopened.records.is_empty() && reopened.skipped.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -455,60 +871,173 @@ mod tests {
         w.put_bool(true);
         w.put_bytes(&snapshot.to_bytes());
         let expected = Snapshot::new(SPOOL_TAG, w.into_bytes()).to_bytes();
-        assert_eq!(encode_with(&bare, Some(&snapshot.to_bytes())), expected);
-        assert_eq!(encode(&carrying), expected);
+        // The frame: magic, job id, record length, then the record.
+        let mut header = b"PGJF".to_vec();
+        header.extend_from_slice(&5u64.to_le_bytes());
+        header.extend_from_slice(&(expected.len() as u32).to_le_bytes());
+        let prepared = encode_frame(&bare, Some(&snapshot.to_bytes())).unwrap();
+        assert_eq!(prepared[..HEADER_LEN], header[..]);
+        assert_eq!(prepared[HEADER_LEN..], expected[..]);
+        assert_eq!(frame(&carrying), prepared);
         assert_eq!(decode(&expected).unwrap(), carrying);
     }
 
     #[test]
-    fn orphan_tmp_is_adopted_only_when_complete_and_unclaimed() {
-        let dir = tmp_dir("orphan");
-        let spool = Spool::open(&dir).unwrap();
-        let target = |id: u64| spool.file_for(JobId(id));
-        // Crash between unlink and rename: only the complete tmp is left.
-        spool.save(&record(1, JobState::Running)).unwrap();
-        fs::rename(target(1), tmp_for(&target(1))).unwrap();
-        // Crash mid-write with no record at all: a torn tmp.
-        let bytes = encode(&record(2, JobState::Running));
-        fs::write(tmp_for(&target(2)), &bytes[..bytes.len() / 2]).unwrap();
-        // Crash mid-write over a live record: the record wins.
-        spool.save(&record(3, JobState::Running)).unwrap();
-        fs::write(tmp_for(&target(3)), encode(&record(3, JobState::Queued))).unwrap();
-        // A complete tmp filed under another job's name.
-        fs::write(tmp_for(&target(4)), encode(&record(5, JobState::Running))).unwrap();
-
+    fn corrupt_frames_are_skipped_unless_superseded() {
+        let dir = tmp_dir("corrupt");
+        let mut bytes = frame(&record(1, JobState::Queued));
+        // Job 2: a corrupt frame superseded by a later good one.
+        let mut damaged = frame(&record(2, JobState::Queued));
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0xff;
+        bytes.extend(&damaged);
+        // Job 3: a good frame, then a corrupt latest one.
+        bytes.extend(frame(&record(3, JobState::Queued)));
+        let mut latest = frame(&record(3, JobState::Running));
+        latest[mid] ^= 0xff;
+        bytes.extend(&latest);
+        bytes.extend(frame(&record(2, JobState::Running)));
+        let spool = spool_with_segment(&dir, &bytes);
+        // A leftover record of the old one-file-per-job layout.
+        fs::write(dir.join("j9.pgaj"), b"old").unwrap();
         let scan = spool.load_all().unwrap();
-        assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
         assert_eq!(
             scan.records,
-            vec![record(1, JobState::Running), record(3, JobState::Running)]
+            vec![
+                record(1, JobState::Queued),
+                record(2, JobState::Running),
+                record(3, JobState::Queued),
+            ],
+            "job 3 resumes from its last good frame"
         );
-        assert!(target(1).exists() && !tmp_for(&target(1)).exists());
-        for id in [2, 4] {
-            assert!(!target(id).exists() && tmp_for(&target(id)).exists());
-        }
-        // Adopted once, it is an ordinary record from then on.
-        assert_eq!(spool.load_all().unwrap().records.len(), 2);
+        let messages: Vec<&str> = scan.skipped.iter().map(|s| s.message.as_str()).collect();
+        assert_eq!(messages.len(), 2, "{messages:?}");
+        assert!(messages[0].contains("old one-file-per-job"), "{messages:?}");
+        assert!(messages[1].contains("Checksum"), "{messages:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_files_are_skipped_not_fatal() {
-        let dir = tmp_dir("corrupt");
+    fn every_truncation_and_byte_flip_of_a_segment_loads_only_saved_records() {
+        let dir = tmp_dir("mutation");
+        let saved = [
+            record(1, JobState::Queued),
+            record(2, JobState::Running),
+            record(1, JobState::Done(StopReason::MaxGenerations)),
+        ];
+        let frames: Vec<Vec<u8>> = saved.iter().map(frame).collect();
+        let segment = frames.concat();
+        let clean = spool_with_segment(&dir, &segment).load_all().unwrap();
+        assert_eq!(clean.records, vec![saved[2].clone(), saved[1].clone()]);
+
+        // A truncation is a torn tail: never reported, and every frame
+        // before it still loads.
+        for keep in 0..=segment.len() {
+            let scan = spool_with_segment(&dir, &segment[..keep])
+                .load_all()
+                .unwrap();
+            assert!(scan.skipped.is_empty(), "keep {keep}: {:?}", scan.skipped);
+            let mut expected = BTreeMap::new();
+            let mut end = 0;
+            for (r, f) in saved.iter().zip(&frames) {
+                end += f.len();
+                if end <= keep {
+                    expected.insert(r.id, r.clone());
+                }
+            }
+            let expected: Vec<JobRecord> = expected.into_values().collect();
+            assert_eq!(scan.records, expected, "keep {keep}");
+        }
+        // A flipped byte never yields a record that was not saved, and
+        // is reported unless it left the result unchanged — or grew the
+        // last frame's length past the end, which is a torn tail's shape.
+        let last = segment.len() - frames[2].len();
+        let torn_shape = vec![saved[0].clone(), saved[1].clone()];
+        for at in 0..segment.len() {
+            let mut bytes = segment.clone();
+            bytes[at] ^= 0xff;
+            let scan = spool_with_segment(&dir, &bytes).load_all().unwrap();
+            for r in &scan.records {
+                assert!(saved.contains(r), "flip at {at} yielded {r:?}");
+            }
+            let silent = scan.skipped.is_empty() && scan.records != clean.records;
+            let last_len = (last + 12..last + 16).contains(&at);
+            assert!(
+                !silent || (last_len && scan.records == torn_shape),
+                "flip at {at} lost records silently"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_bounds_the_segments_and_keeps_the_latest_records() {
+        let dir = tmp_dir("compaction");
         let spool = Spool::open(&dir).unwrap();
-        spool.save(&record(1, JobState::Queued)).unwrap();
-        // Flip a payload byte in a valid record: checksum must catch it.
-        let victim = dir.join("j2.pgaj");
-        let mut bytes = encode(&record(2, JobState::Running));
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&victim, &bytes).unwrap();
-        // And one file that is not a PGAS container at all.
-        fs::write(dir.join("j3.pgaj"), b"garbage").unwrap();
-        let scan = spool.load_all().unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].id, JobId(1));
-        assert_eq!(scan.skipped.len(), 2);
+        let disk = || -> u64 { files(&dir).values().map(|b| b.len() as u64).sum() };
+        let mut latest = BTreeMap::new();
+        for i in 0..10_000u64 {
+            let mut r = record(i % 50, JobState::Running);
+            r.steps = i;
+            spool.save(&r).unwrap();
+            latest.insert(r.id, r);
+            if i % 97 == 0 {
+                let live = lock(&spool.log).live;
+                assert!(disk() <= 2 * live + COMPACT_FLOOR, "save {i}");
+            }
+        }
+        let live = lock(&spool.log).live;
+        assert!(disk() <= 2 * live + COMPACT_FLOOR);
+        assert!(files(&dir).len() <= 2, "old segments deleted");
+        let expected: Vec<JobRecord> = latest.into_values().collect();
+        let scan = Spool::open(&dir).unwrap().load_all().unwrap();
+        assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
+        assert_eq!(scan.records, expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_mid_compaction_recovers_the_same_records() {
+        let dir = tmp_dir("mid-compaction");
+        let a = record(1, JobState::Running);
+        let b = record(2, JobState::Running);
+        let mut segment = frame(&a);
+        segment.extend(frame(&b));
+        // Job 2 removed: its tombstone.
+        segment.extend(b"PGJF");
+        segment.extend(2u64.to_le_bytes());
+        segment.extend(0u32.to_le_bytes());
+        let spool = spool_with_segment(&dir, &segment);
+        let before = spool.load_all().unwrap();
+        assert_eq!(before.records, vec![a.clone()]);
+        // Compaction copied job 1's latest frame into segment 1 and died
+        // mid-copy, or right after it, before deleting segment 0.
+        let copy = frame(&a);
+        for keep in [copy.len() / 2, copy.len()] {
+            fs::write(dir.join("spool-1"), &copy[..keep]).unwrap();
+            let scan = Spool::open(&dir).unwrap().load_all().unwrap();
+            assert_eq!(scan.records, before.records, "copy of {keep} bytes");
+            assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scans_touch_no_file_and_appends_go_to_a_fresh_segment() {
+        let dir = tmp_dir("fresh-segment");
+        let writer = Spool::open(&dir).unwrap();
+        writer.save(&record(1, JobState::Running)).unwrap();
+        let before = files(&dir);
+        let reader = Spool::open(&dir).unwrap();
+        assert_eq!(reader.load_all().unwrap().records.len(), 1);
+        assert_eq!(files(&dir), before, "a scan creates or modifies no file");
+        // After a scan, the first append opens `spool-1`: never after a
+        // possibly torn tail of `spool-0`.
+        reader.save(&record(2, JobState::Running)).unwrap();
+        let after = files(&dir);
+        assert_eq!(after["spool-0"], before["spool-0"]);
+        assert!(after.contains_key("spool-1"));
+        assert_eq!(reader.load_all().unwrap().records.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,8 @@
 //! contract: healthy tenants finish **bit-identically** to a fault-free
 //! run no matter what faults land around them; poison jobs are
 //! quarantined after exactly the retry budget; spool faults degrade
-//! (never kill) the server and clear on recovery; torn spool writes in
-//! any window never abort startup.
+//! (never kill) the server and clear on recovery; torn or corrupt spool
+//! frames in any window, and a crash mid-compaction, never abort startup.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -227,46 +227,109 @@ fn watchdog_reclassifies_a_stalled_slice_and_the_job_still_finishes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Splits a spool segment into its frames (`[magic][job id][len]
+/// [record]`, see `pga_serve::spool`), each with the job id it names.
+fn frames(segment: &[u8]) -> Vec<(JobId, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut rest = segment;
+    while rest.len() >= 16 {
+        assert_eq!(&rest[..4], b"PGJF", "frame magic");
+        let id = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes")) as usize;
+        let (frame, tail) = rest.split_at(16 + len);
+        out.push((JobId(id), frame.to_vec()));
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "segment ends on a frame boundary");
+    out
+}
+
+/// Every frame job `id` has in `frames`, in order, concatenated.
+fn frames_of(frames: &[(JobId, Vec<u8>)], id: JobId) -> Vec<u8> {
+    frames
+        .iter()
+        .filter(|(of, _)| *of == id)
+        .flat_map(|(_, f)| f.clone())
+        .collect()
+}
+
+/// The last frame of job `id` in `frames`.
+fn last_frame_of(frames: &[(JobId, Vec<u8>)], id: JobId) -> Vec<u8> {
+    frames
+        .iter()
+        .rev()
+        .find(|(of, _)| *of == id)
+        .map(|(_, f)| f.clone())
+        .expect("job has a frame")
+}
+
 #[test]
 fn torn_spool_writes_in_every_window_never_abort_startup() {
     let dir = temp_dir("torn");
-    // Seed the spool with one legitimate terminal record.
+    // Seed the spool with three legitimate terminal jobs.
     let serve = ServeBuilder::new()
         .spool_dir(&dir)
         .build()
         .expect("server starts");
-    let keep = serve
-        .submit(spec("solo", 51, EngineSpec::ga(16, 1), 10))
-        .expect("admitted");
-    assert!(serve.wait(keep, WAIT));
+    let ids: Vec<JobId> = (51..54)
+        .map(|seed| {
+            serve
+                .submit(spec("solo", seed, EngineSpec::ga(16, 1), 10))
+                .expect("admitted")
+        })
+        .collect();
+    assert!(serve.wait_all(WAIT));
     serve.shutdown();
+    let (k1, k2, k3) = (ids[0], ids[1], ids[2]);
 
-    // Window 1: tmp fully written, rename never happened. Must be
-    // ignored (only `.pgaj` targets are scanned).
-    std::fs::write(dir.join("99.pgaj.tmp"), b"complete tmp, no rename").expect("write");
-    // Window 2: tmp partially written (crash mid-write).
-    std::fs::write(dir.join("98.pgaj.tmp"), [0u8; 7]).expect("write");
-    // Window 3: target itself torn — truncated mid-content. The
-    // checksum catches it and the file is quarantined, not fatal.
-    let good = std::fs::read(dir.join(format!("{keep}.pgaj"))).expect("record exists");
-    std::fs::write(dir.join("97.pgaj"), &good[..good.len() / 2]).expect("write");
-    // Window 4: target exists but is empty (open + crash before write —
-    // not reachable through the tmp+rename path, but hostile anyway).
-    std::fs::write(dir.join("96.pgaj"), b"").expect("write");
+    // Re-lay the log as segments that hold every crash window.
+    let all = frames(&std::fs::read(dir.join("spool-0")).expect("segment 0"));
+    let corrupt = |mut frame: Vec<u8>| {
+        let mid = frame.len() / 2;
+        frame[mid] ^= 0xff;
+        frame
+    };
+    let last1 = last_frame_of(&all, k1);
+    let last3 = last_frame_of(&all, k3);
+    // Segment 0: job 1's frames, intact.
+    std::fs::write(dir.join("spool-0"), frames_of(&all, k1)).expect("write");
+    // Segment 1: a bad magic, then a corrupt latest frame of job 1, and
+    // only after both, every frame of job 2 — which must still be read.
+    let mut segment = last_frame_of(&all, k2);
+    segment[0] ^= 0xff;
+    segment.extend(corrupt(last1));
+    segment.extend(frames_of(&all, k2));
+    std::fs::write(dir.join("spool-1"), segment).expect("write");
+    // Segment 2: empty (created, crash before the first append).
+    std::fs::write(dir.join("spool-2"), b"").expect("write");
+    // Segment 3: a corrupt frame of job 3 superseded by its later good
+    // frames, then a torn tail inside a frame header.
+    let mut segment = corrupt(last3.clone());
+    segment.extend(frames_of(&all, k3));
+    segment.extend(&last3[..10]);
+    std::fs::write(dir.join("spool-3"), segment).expect("write");
+    // Segment 4: a torn tail inside a frame's record.
+    std::fs::write(dir.join("spool-4"), &last3[..last3.len() / 2]).expect("write");
 
     let second = ServeBuilder::new()
         .spool_dir(&dir)
         .build()
         .expect("startup survives every torn window");
+    let report = second.recover_report();
     assert_eq!(
-        second.recover_report().skipped,
-        2,
-        "both torn targets quarantined"
+        report.skipped, 2,
+        "the bad magic and job 1's unsuperseded corrupt frame are reported; \
+         job 3's superseded one and both torn tails are not"
     );
-    // The good record still recovered, and the server still works.
-    assert!(second.status_json(keep).is_some(), "good record survived");
+    // Every job still recovered — job 1 from its last good frame — and
+    // the server still works.
+    assert_eq!(report.terminal, 3);
+    for id in [k1, k2, k3] {
+        let doc = second.status_json(id).expect("good record survived");
+        assert!(doc.contains("\"state\":\"done\""), "{doc}");
+    }
     let fresh = second
-        .submit(spec("solo", 52, EngineSpec::ga(16, 1), 10))
+        .submit(spec("solo", 54, EngineSpec::ga(16, 1), 10))
         .expect("fresh work admitted");
     assert!(second.wait(fresh, WAIT));
     second.shutdown();
@@ -274,16 +337,19 @@ fn torn_spool_writes_in_every_window_never_abort_startup() {
 }
 
 #[test]
-fn crash_between_unlink_and_rename_adopts_the_complete_tmp() {
-    let dir = temp_dir("unlink-window");
-    let s = spec("solo", 53, EngineSpec::ga(16, 1), 400);
+fn crash_mid_compaction_loses_nothing_and_resumes_bit_identically() {
+    let dir = temp_dir("mid-compaction");
+    let short = spec("solo", 55, EngineSpec::ga(16, 1), 10);
+    let long = spec("solo", 53, EngineSpec::ga(16, 1), 400);
     let first = ServeBuilder::new()
         .spool_dir(&dir)
         .steps_per_slice(2)
         .quantum_steps(2)
         .build()
         .expect("server starts");
-    let id = first.submit(s.clone()).expect("admitted");
+    let done = first.submit(short.clone()).expect("admitted");
+    assert!(first.wait(done, WAIT));
+    let id = first.submit(long.clone()).expect("admitted");
     let deadline = std::time::Instant::now() + WAIT;
     while first.progress_of(id).is_none_or(|p| p.generations < 2) {
         assert!(std::time::Instant::now() < deadline, "job never progressed");
@@ -291,26 +357,28 @@ fn crash_between_unlink_and_rename_adopts_the_complete_tmp() {
     }
     first.shutdown();
 
-    // A save unlinks `<id>.pgaj` before renaming its tmp into place; a
-    // crash in between leaves only the complete tmp.
-    let target = dir.join(format!("{id}.pgaj"));
-    let bytes = std::fs::read(&target).expect("record exists");
-    std::fs::rename(&target, dir.join(format!("{id}.pgaj.tmp"))).expect("rename");
-    // A torn orphan: the crash hit mid-write of a job with no record.
-    std::fs::write(dir.join("j77.pgaj.tmp"), &bytes[..bytes.len() / 2]).expect("write");
+    // A compaction copies each job's latest frame into the next segment
+    // and only then deletes the older ones. A crash mid-copy leaves the
+    // complete old segment beside a partial new one.
+    let all = frames(&std::fs::read(dir.join("spool-0")).expect("segment 0"));
+    let latest = last_frame_of(&all, id);
+    let mut partial = last_frame_of(&all, done);
+    partial.extend(&latest[..latest.len() / 2]);
+    std::fs::write(dir.join("spool-1"), partial).expect("write");
 
     let second = ServeBuilder::new()
         .spool_dir(&dir)
         .build()
         .expect("restart");
     let report = second.recover_report();
-    assert_eq!(report.resumed, 1, "complete mid-run tmp adopted");
-    assert_eq!(report.skipped, 0, "torn orphan tmp ignored, not skipped");
-    assert!(target.exists(), "adopted tmp renamed into place");
-    assert!(second.status_json(JobId(77)).is_none());
+    assert_eq!(report.resumed, 1, "mid-run job recovered");
+    assert_eq!(report.terminal, 1, "finished job recovered");
+    assert_eq!(report.skipped, 0, "the torn copy is a torn tail");
     assert!(second.wait(id, WAIT));
-    let progress = second.progress_of(id).expect("known");
-    assert_eq!(progress.best_fitness.to_bits(), reference_bits(&s));
+    for (s, job) in [(&short, done), (&long, id)] {
+        let progress = second.progress_of(job).expect("known");
+        assert_eq!(progress.best_fitness.to_bits(), reference_bits(s));
+    }
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -74,7 +74,10 @@ fn reference_run(spec: &JobSpec) -> (u64, Vec<u8>) {
 #[test]
 fn hard_dropped_server_resumes_every_job_bit_identically() {
     let dir = temp_dir("resume");
-    let specs = family_specs(40);
+    // A budget no fast slice loop can finish before the poll below sees
+    // every job at generation 4, so the crash always lands mid-run.
+    let budget = 400;
+    let specs = family_specs(budget);
 
     // First server: admit everything, then crash mid-flight.
     let first = ServeBuilder::new()
@@ -127,7 +130,7 @@ fn hard_dropped_server_resumes_every_job_bit_identically() {
             ref_bits,
             "best fitness diverged for {spec:?}"
         );
-        assert_eq!(progress.generations, 40, "full budget consumed exactly");
+        assert_eq!(progress.generations, budget, "full budget consumed exactly");
         assert_eq!(
             second.state(*id),
             Some(JobState::Done(pga_core::StopReason::MaxGenerations))
@@ -173,7 +176,9 @@ fn hard_dropped_server_resumes_every_job_bit_identically() {
 #[test]
 fn graceful_restart_mid_run_is_also_bit_identical() {
     let dir = temp_dir("graceful");
-    let spec = spec("solo", 77, EngineSpec::island(3, 12), 30);
+    // A budget no fast slice loop can finish before the poll below sees
+    // generation 2, so the restart always finds the job mid-run.
+    let spec = spec("solo", 77, EngineSpec::island(3, 12), 3_000);
     let first = ServeBuilder::new()
         .spool_dir(&dir)
         .steps_per_slice(2)
@@ -197,7 +202,7 @@ fn graceful_restart_mid_run_is_also_bit_identical() {
     let (ref_bits, _) = reference_run(&spec);
     let progress = second.progress_of(id).expect("known");
     assert_eq!(progress.best_fitness.to_bits(), ref_bits);
-    assert_eq!(progress.generations, 30);
+    assert_eq!(progress.generations, 3_000);
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

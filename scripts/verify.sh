@@ -70,6 +70,7 @@ echo "==> serve chaos suite: fault injection, quarantine, degraded modes (releas
 # Injected stalls/backoffs must never hang the scheduler: timeout is the gate.
 timeout 300 cargo test -q -p pga-serve --release --test chaos
 timeout 300 cargo test -q -p pga-serve --release --test malformed
+timeout 300 cargo test -q -p pga-serve --release --test retention
 
 echo "==> e22 chaos availability smoke (quick mode: no results files rewritten)"
 # Quick mode still asserts availability >= 0.99, exact quarantines, and
