@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pga_cellular::{CellularGa, UpdatePolicy};
 use pga_core::ops::{BitFlip, OnePoint};
+use pga_core::Engine;
 use pga_problems::OneMax;
 use pga_topology::CellNeighborhood;
 

@@ -14,7 +14,7 @@ use pga_cellular::{CellularGa, UpdatePolicy};
 use pga_core::ops::crossover::{Crossover, Uniform};
 use pga_core::ops::mutation::{BitFlip, Mutation};
 use pga_core::ops::scalar::{ScalarBitFlip, ScalarUniform};
-use pga_core::{BitString, Rng64};
+use pga_core::{BitString, Engine, Rng64};
 use pga_problems::OneMax;
 use std::time::{Duration, Instant};
 

@@ -10,7 +10,7 @@ use pga_analysis::{speedup, Table};
 use pga_bench::{emit, f2, standard_binary_ga};
 use pga_cluster::{ClusterSpec, FailurePlan, MasterSlaveSim, NetworkProfile};
 use pga_core::ops::{BitFlip, OnePoint, Tournament};
-use pga_core::{Ga, GaBuilder, Scheme};
+use pga_core::{Engine, Ga, GaBuilder, Scheme};
 use pga_master_slave::{ExpensiveFitness, RayonEvaluator};
 use pga_problems::OneMax;
 use std::sync::Arc;

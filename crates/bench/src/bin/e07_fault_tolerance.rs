@@ -8,7 +8,7 @@
 use pga_analysis::{Summary, Table};
 use pga_bench::{emit, f2, reps, standard_binary_islands};
 use pga_cluster::{ClusterSpec, FailurePlan, NetworkProfile};
-use pga_core::{Individual, Termination};
+use pga_core::{Engine, Individual, Termination};
 use pga_island::{EmigrantSelection, MigrationPolicy};
 use pga_master_slave::SimulatedMasterSlaveGa;
 use pga_observe::{EventKind, RingRecorder};

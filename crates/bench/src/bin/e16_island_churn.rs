@@ -7,7 +7,7 @@
 
 use pga_analysis::{repeat, Table};
 use pga_bench::{emit, pct, reps, standard_binary_ga};
-use pga_core::{Ga, Individual, Problem, Rng64, SerialEvaluator};
+use pga_core::{Engine, Ga, Individual, Problem, Rng64, SerialEvaluator};
 use pga_island::{EmigrantSelection, MigrationPolicy};
 use pga_problems::SubsetSum;
 use pga_topology::Topology;

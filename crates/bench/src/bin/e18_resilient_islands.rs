@@ -21,7 +21,7 @@
 use pga_analysis::{repeat, Table};
 use pga_bench::{emit, pct, reps, standard_binary_islands};
 use pga_cluster::MigrationFaultPlan;
-use pga_core::{Ga, Individual, Problem, SerialEvaluator, StopReason, Termination};
+use pga_core::{Engine, Ga, Individual, Problem, SerialEvaluator, StopReason, Termination};
 use pga_island::{
     run_threaded_resilient, Archipelago, EmigrantSelection, MigrationPolicy, ResiliencePolicy,
     ResilientOptions, ResurrectionPolicy,

@@ -155,10 +155,10 @@ fn run_virtual(workers: usize, seed: u64, budget_s: f64) -> VirtualRow {
         SimulatedMasterSlaveGa::new(ga, cluster(), FailurePlan::none(workers), TASK_COST_S)
             .expect("valid simulator");
     let mut sync_best = f64::NAN;
-    while sim.clock() < budget_s {
+    while sim.sim_seconds() < budget_s {
         sync_best = sim.step().best_ever;
     }
-    let sync_rate = (sim.ga().evaluations() - POP as u64) as f64 / sim.clock();
+    let sync_rate = (sim.ga().evaluations() - POP as u64) as f64 / sim.sim_seconds();
 
     // Asynchronous: same ops, same cluster, same fixed task cost — only
     // the barrier is gone.

@@ -26,7 +26,7 @@
 
 use pga_analysis::Table;
 use pga_bench::emit;
-use pga_core::{Driver, ErasedRun};
+use pga_core::Driver;
 use pga_serve::factory::build_engine;
 use pga_serve::{
     Budget, ChaosPlan, EngineSpec, JobId, JobSpec, JobState, ProblemSpec, Serve, ServeBuilder,
@@ -78,7 +78,7 @@ fn reference_bits(spec: &JobSpec) -> u64 {
     let mut engine = build_engine(spec, None).expect("reference engine builds");
     let termination = spec.budget.to_termination().expect("bounded budget");
     let outcome = Driver::new(termination)
-        .run(&mut ErasedRun(engine.as_mut()))
+        .run(engine.as_mut())
         .expect("reference run completes");
     outcome.best_fitness.to_bits()
 }

@@ -136,11 +136,11 @@ impl<P: Problem> Deme for CellularGa<P> {
     }
 
     fn record_run_started(&mut self) {
-        CellularGa::record_run_started(self);
+        Engine::record_run_started(self);
     }
 
     fn record_run_finished(&mut self) {
-        CellularGa::record_run_finished(self);
+        Engine::record_run_finished(self);
     }
 
     fn snapshot_deme(&self) -> Snapshot {

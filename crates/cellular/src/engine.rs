@@ -5,8 +5,8 @@ use pga_core::ops::{Crossover, Mutation};
 use pga_core::rng::splitmix64;
 use pga_core::termination::{Progress, Termination};
 use pga_core::{
-    ConfigError, Driver, Engine, Genome, Individual, Objective, Problem, Rng64, RunOutcome,
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StepReport,
+    ConfigError, Driver, Engine, Genome, Incumbent, Individual, Objective, Problem, Rng64,
+    RunOutcome, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StepReport,
 };
 use pga_observe::{Event, EventKind, Recorder, Stopwatch};
 use pga_topology::CellNeighborhood;
@@ -221,8 +221,36 @@ impl<P: Problem> CellularGa<P> {
         Individual::evaluated(child, fitness)
     }
 
+    /// Runs until the shared termination rule fires (via the generic
+    /// [`Driver`]), collecting per-generation history. Returns an error if
+    /// the rule is unbounded.
+    pub fn run(
+        &mut self,
+        termination: &Termination,
+    ) -> Result<RunOutcome<Individual<P::Genome>>, ConfigError> {
+        Driver::new(termination.clone())
+            .keep_history(true)
+            .run(self)
+    }
+}
+
+impl<P: Problem> Incumbent for CellularGa<P> {
+    type Best = Individual<P::Genome>;
+
+    fn best(&self) -> Self::Best {
+        self.best_ever.clone()
+    }
+}
+
+/// The fine-grained cellular model as a uniformly driven [`Engine`]: one
+/// `step` is one sweep over the whole grid.
+impl<P: Problem> Engine for CellularGa<P> {
+    fn engine_id(&self) -> &'static str {
+        "cellular"
+    }
+
     /// One generation (`n` cell updates). Returns end-of-generation stats.
-    pub fn step(&mut self) -> StepReport {
+    fn step(&mut self) -> StepReport {
         let n = self.grid.len();
         let sw = Stopwatch::started_if(self.recorder.is_some());
         let objective = self.problem.objective();
@@ -343,9 +371,22 @@ impl<P: Problem> CellularGa<P> {
         stats
     }
 
+    fn progress(&self, elapsed: Duration) -> Progress {
+        Progress {
+            generations: self.generation,
+            evaluations: self.evaluations,
+            best_fitness: self.best_ever.fitness(),
+            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
+            stagnant_generations: self.stagnant_generations,
+            elapsed,
+            maximizing: self.problem.objective() == Objective::Maximize,
+            cost_units: self.evaluations as f64,
+        }
+    }
+
     /// Emits `RunStarted` for an externally driven run (e.g. a cellular
     /// deme stepped by an island driver).
-    pub fn record_run_started(&mut self) {
+    fn record_run_started(&mut self) {
         if self.recorder.is_some() {
             let engine = format!("cellular-{}", self.policy.name());
             let problem = self.problem.name();
@@ -361,7 +402,7 @@ impl<P: Problem> CellularGa<P> {
 
     /// Emits `RunFinished` and flushes the recorder; counterpart of
     /// [`CellularGa::record_run_started`].
-    pub fn record_run_finished(&mut self) {
+    fn record_run_finished(&mut self) {
         if self.recorder.is_some() {
             let hit_optimum = self.problem.is_optimal(self.best_ever.fitness());
             self.emit(EventKind::RunFinished {
@@ -375,57 +416,6 @@ impl<P: Problem> CellularGa<P> {
                 r.flush();
             }
         }
-    }
-
-    /// Runs until the shared termination rule fires (via the generic
-    /// [`Driver`]), collecting per-generation history. Returns an error if
-    /// the rule is unbounded.
-    pub fn run(
-        &mut self,
-        termination: &Termination,
-    ) -> Result<RunOutcome<Individual<P::Genome>>, ConfigError> {
-        Driver::new(termination.clone())
-            .keep_history(true)
-            .run(self)
-    }
-}
-
-/// The fine-grained cellular model as a uniformly driven [`Engine`]: one
-/// `step` is one sweep over the whole grid.
-impl<P: Problem> Engine for CellularGa<P> {
-    type Best = Individual<P::Genome>;
-
-    fn engine_id(&self) -> &'static str {
-        "cellular"
-    }
-
-    fn step(&mut self) -> StepReport {
-        CellularGa::step(self)
-    }
-
-    fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
-    }
-
-    fn best(&self) -> Self::Best {
-        self.best_ever.clone()
-    }
-
-    fn record_run_started(&mut self) {
-        CellularGa::record_run_started(self);
-    }
-
-    fn record_run_finished(&mut self) {
-        CellularGa::record_run_finished(self);
     }
 
     /// Captures the grid, RNG stream, and counters. The fixed sweep order

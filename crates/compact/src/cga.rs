@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pga_core::driver::{Driver, Engine, RunOutcome, StepReport};
+use pga_core::driver::{Driver, Engine, Incumbent, RunOutcome, StepReport};
 use pga_core::individual::Individual;
 use pga_core::problem::{Objective, Problem};
 use pga_core::repr::{BitString, Genome};
@@ -200,10 +200,24 @@ impl<P: Problem<Genome = BitString>> CompactGa<P> {
     ) -> Result<RunOutcome<Individual<BitString>>, ConfigError> {
         Driver::new(termination.clone()).run(self)
     }
+}
+
+impl<P: Problem<Genome = BitString>> Incumbent for CompactGa<P> {
+    type Best = Individual<BitString>;
+
+    fn best(&self) -> Self::Best {
+        self.best_ever.clone()
+    }
+}
+
+impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
+    fn engine_id(&self) -> &'static str {
+        "cga"
+    }
 
     /// One competition: sample two, evaluate, shift the model toward the
     /// winner.
-    pub fn step(&mut self) -> StepReport {
+    fn step(&mut self) -> StepReport {
         let a = sample_genome(&self.p, &mut self.rng);
         let b = sample_genome(&self.p, &mut self.rng);
         let fa = self.problem.evaluate(&a);
@@ -246,18 +260,6 @@ impl<P: Problem<Genome = BitString>> CompactGa<P> {
         }
         report
     }
-}
-
-impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
-    type Best = Individual<BitString>;
-
-    fn engine_id(&self) -> &'static str {
-        "cga"
-    }
-
-    fn step(&mut self) -> StepReport {
-        CompactGa::step(self)
-    }
 
     fn progress(&self, elapsed: Duration) -> Progress {
         Progress {
@@ -270,10 +272,6 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
             maximizing: self.problem.objective() == Objective::Maximize,
             cost_units: self.evaluations as f64,
         }
-    }
-
-    fn best(&self) -> Self::Best {
-        self.best_ever.clone()
     }
 
     fn halted(&self) -> bool {
@@ -344,7 +342,7 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
         let genome = BitString::decode(&mut r)?;
         let fitness = r.take_opt_f64()?;
         let virtual_pop = r.take_usize()?;
-        let len = r.take_usize()?;
+        let len = r.take_count(8)?;
         let mut p = Vec::with_capacity(len);
         for _ in 0..len {
             p.push(r.take_f64()?);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pga_cluster::ClusterSpec;
-use pga_core::driver::{Clock, Driver, Engine, RunOutcome, StepReport};
+use pga_core::driver::{Clock, Driver, Engine, Incumbent, RunOutcome, StepReport};
 use pga_core::individual::Individual;
 use pga_core::problem::{Objective, Problem};
 use pga_core::repr::{BitString, Genome};
@@ -189,9 +189,23 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGa<P> {
     ) -> Result<RunOutcome<Individual<BitString>>, ConfigError> {
         Driver::new(termination.clone()).run(self)
     }
+}
+
+impl<P: Problem<Genome = BitString>> Incumbent for ShardedCompactGa<P> {
+    type Best = Individual<BitString>;
+
+    fn best(&self) -> Self::Best {
+        self.best_ever.clone()
+    }
+}
+
+impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
+    fn engine_id(&self) -> &'static str {
+        "pcga"
+    }
 
     /// One sample → gather → evaluate → broadcast → update round.
-    pub fn step(&mut self) -> StepReport {
+    fn step(&mut self) -> StepReport {
         let nodes = self.shards.len();
         let net = self.cluster.network;
         // --- sample: every node draws its slice of both competitors from
@@ -282,18 +296,6 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGa<P> {
         }
         report
     }
-}
-
-impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
-    type Best = Individual<BitString>;
-
-    fn engine_id(&self) -> &'static str {
-        "pcga"
-    }
-
-    fn step(&mut self) -> StepReport {
-        ShardedCompactGa::step(self)
-    }
 
     fn progress(&self, elapsed: Duration) -> Progress {
         Progress {
@@ -306,10 +308,6 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
             maximizing: self.problem.objective() == Objective::Maximize,
             cost_units: self.evaluations as f64,
         }
-    }
-
-    fn best(&self) -> Self::Best {
-        self.best_ever.clone()
     }
 
     fn clock(&self) -> Clock {

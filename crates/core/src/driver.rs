@@ -11,7 +11,7 @@
 //!
 //! ## How each PGA model maps onto `Engine`
 //!
-//! | Engine                  | `step()` advances                         | `best()` |
+//! | Engine                  | `step()` advances                         | [`Incumbent::best`] |
 //! |-------------------------|-------------------------------------------|----------|
 //! | `Ga` (panmictic)        | one generation (or pop-size offspring)    | best individual ever |
 //! | `Archipelago` (island)  | one generation on every deme + migration at epoch boundaries | best individual across demes |
@@ -129,15 +129,18 @@ pub enum Clock {
 /// One evolutionary engine, uniformly steppable, measurable, and
 /// checkpointable.
 ///
-/// The six engine families of this workspace all implement `Engine`; see
-/// the [module docs](self) for how each model maps onto the trait. The
+/// Every engine family of this workspace implements `Engine`; see the
+/// [module docs](self) for how each model maps onto the trait. The
 /// generic [`Driver`] owns the run loop so termination semantics,
 /// history collection, and result shapes cannot drift between engines.
+///
+/// The trait is object-safe: a runtime that multiplexes heterogeneous
+/// engines (a panmictic GA next to a cellular grid next to an
+/// archipelago, as the job server does) holds them as
+/// `Box<dyn Engine + Send>` ([`BoxedEngine`](crate::erased::BoxedEngine))
+/// and drives them through the same [`Driver`]. The engine-specific shape
+/// of the best solution lives in the separate [`Incumbent`] trait.
 pub trait Engine {
-    /// What [`Engine::best`] returns: a single individual for scalar
-    /// engines, the first front for multiobjective ones.
-    type Best;
-
     /// Stable tag identifying the engine type; stamps snapshots so state
     /// cannot be restored into the wrong engine.
     fn engine_id(&self) -> &'static str;
@@ -170,9 +173,6 @@ pub trait Engine {
     /// wall-clock or virtual per [`Engine::clock`].
     fn progress(&self, elapsed: Duration) -> Progress;
 
-    /// Best solution found so far.
-    fn best(&self) -> Self::Best;
-
     /// The engine's time base. Defaults to wall clock.
     fn clock(&self) -> Clock {
         Clock::Wall
@@ -204,10 +204,22 @@ pub trait Engine {
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError>;
 }
 
+/// The best solution an engine has found, in its own shape: a single
+/// individual for scalar engines, the first front for multiobjective
+/// ones. Kept apart from [`Engine`] so that `dyn Engine` exists; only
+/// [`Driver::run`] reads it, to fill [`RunOutcome::best`].
+pub trait Incumbent {
+    /// What [`Incumbent::best`] returns.
+    type Best;
+
+    /// Best solution found so far.
+    fn best(&self) -> Self::Best;
+}
+
 /// Result of a completed [`Driver::run`], shared by every engine family.
 #[derive(Clone, Debug)]
 pub struct RunOutcome<B> {
-    /// Best solution found (engine-specific shape, see [`Engine::Best`]).
+    /// Best solution found (engine-specific shape, see [`Incumbent::Best`]).
     pub best: B,
     /// Best fitness found (the scalar proxy for multiobjective engines).
     pub best_fitness: f64,
@@ -271,7 +283,7 @@ impl Driver {
 
     /// Drives `engine` until the termination rule fires (or the engine
     /// halts). Returns an error if the rule is unbounded.
-    pub fn run<E: Engine + ?Sized>(
+    pub fn run<E: Engine + Incumbent + ?Sized>(
         &self,
         engine: &mut E,
     ) -> Result<RunOutcome<E::Best>, ConfigError> {
@@ -321,9 +333,15 @@ mod tests {
         halt_at: Option<u64>,
     }
 
-    impl Engine for Counter {
+    impl Incumbent for Counter {
         type Best = u64;
 
+        fn best(&self) -> u64 {
+            self.generation
+        }
+    }
+
+    impl Engine for Counter {
         fn engine_id(&self) -> &'static str {
             "counter"
         }
@@ -350,10 +368,6 @@ mod tests {
                 maximizing: true,
                 cost_units: (self.generation * 10) as f64,
             }
-        }
-
-        fn best(&self) -> u64 {
-            self.generation
         }
 
         fn halted(&self) -> bool {

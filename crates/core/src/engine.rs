@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use pga_observe::{Event, EventKind, Recorder, Stopwatch};
 
-use crate::driver::{Driver, Engine, RunOutcome, StepReport};
+use crate::driver::{Driver, Engine, Incumbent, RunOutcome, StepReport};
 use crate::error::ConfigError;
 use crate::eval::{Evaluator, SerialEvaluator};
 use crate::individual::Individual;
@@ -182,74 +182,6 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         }
     }
 
-    /// Emits `RunStarted` for an externally driven run (the island drivers
-    /// step engines manually instead of calling [`Ga::run`]).
-    pub fn record_run_started(&mut self) {
-        if self.recorder.is_some() {
-            let engine = format!("ga-{}", self.scheme.name());
-            let problem = self.problem.name();
-            self.emit(EventKind::RunStarted {
-                island: self.trace_island,
-                engine,
-                problem,
-                seed: self.seed,
-            });
-        }
-    }
-
-    /// Emits `RunFinished` and flushes the recorder; counterpart of
-    /// [`Ga::record_run_started`] for externally driven runs.
-    pub fn record_run_finished(&mut self) {
-        if self.recorder.is_some() {
-            let best = self.best_ever.fitness();
-            self.emit(EventKind::RunFinished {
-                island: self.trace_island,
-                generations: self.generation,
-                evaluations: self.evaluations,
-                best,
-                hit_optimum: self.problem.is_optimal(best),
-            });
-            if let Some(r) = &mut self.recorder {
-                r.flush();
-            }
-        }
-    }
-
-    /// Advances one generation (generational scheme) or one generation
-    /// equivalent of `pop_size` offspring (steady-state scheme).
-    pub fn step(&mut self) -> StepReport {
-        match self.scheme {
-            Scheme::Generational { elitism } => self.step_generational(elitism),
-            Scheme::SteadyState { replacement } => {
-                let n = self.population.len();
-                self.step_steady_state(n, replacement)
-            }
-        }
-        self.generation += 1;
-        let report = self.gen_report();
-        if self.recorder.is_some() {
-            self.emit(EventKind::GenerationCompleted {
-                island: self.trace_island,
-                generation: report.generation,
-                evaluations: report.evaluations,
-                best: report.best,
-                mean: report.mean,
-                best_ever: report.best_ever,
-            });
-        }
-        // Tracked unconditionally so snapshot bytes do not depend on
-        // whether a recorder is attached; `emit` no-ops without one.
-        if !self.optimum_traced && self.problem.is_optimal(report.best_ever) {
-            self.optimum_traced = true;
-            self.emit(EventKind::CheckpointHit {
-                island: self.trace_island,
-                generation: report.generation,
-                best: report.best_ever,
-            });
-        }
-        report
-    }
-
     /// Runs until the termination rule fires via the shared [`Driver`],
     /// honoring the builder's `keep_history` flag. Returns an error if the
     /// rule is unbounded.
@@ -260,21 +192,6 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         Driver::new(termination.clone())
             .keep_history(self.keep_history)
             .run(self)
-    }
-
-    /// Current progress snapshot for termination checks.
-    #[must_use]
-    pub fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
     }
 
     /// Clones the members at `indices` for emigration. Fitness travels with
@@ -492,31 +409,94 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
 
 /// The panmictic GA as a uniformly driven [`Engine`]: one `step` is one
 /// generation (or a generation-equivalent of steady-state offspring).
-impl<P: Problem, E: Evaluator<P>> Engine for Ga<P, E> {
+impl<P: Problem, E: Evaluator<P>> Incumbent for Ga<P, E> {
     type Best = Individual<P::Genome>;
-
-    fn engine_id(&self) -> &'static str {
-        "ga"
-    }
-
-    fn step(&mut self) -> StepReport {
-        Ga::step(self)
-    }
-
-    fn progress(&self, elapsed: Duration) -> Progress {
-        Ga::progress(self, elapsed)
-    }
 
     fn best(&self) -> Self::Best {
         self.best_ever.clone()
     }
+}
+
+impl<P: Problem, E: Evaluator<P>> Engine for Ga<P, E> {
+    fn engine_id(&self) -> &'static str {
+        "ga"
+    }
+
+    /// Advances one generation (generational scheme) or one generation
+    /// equivalent of `pop_size` offspring (steady-state scheme).
+    fn step(&mut self) -> StepReport {
+        match self.scheme {
+            Scheme::Generational { elitism } => self.step_generational(elitism),
+            Scheme::SteadyState { replacement } => {
+                let n = self.population.len();
+                self.step_steady_state(n, replacement)
+            }
+        }
+        self.generation += 1;
+        let report = self.gen_report();
+        if self.recorder.is_some() {
+            self.emit(EventKind::GenerationCompleted {
+                island: self.trace_island,
+                generation: report.generation,
+                evaluations: report.evaluations,
+                best: report.best,
+                mean: report.mean,
+                best_ever: report.best_ever,
+            });
+        }
+        // Tracked unconditionally so snapshot bytes do not depend on
+        // whether a recorder is attached; `emit` no-ops without one.
+        if !self.optimum_traced && self.problem.is_optimal(report.best_ever) {
+            self.optimum_traced = true;
+            self.emit(EventKind::CheckpointHit {
+                island: self.trace_island,
+                generation: report.generation,
+                best: report.best_ever,
+            });
+        }
+        report
+    }
+
+    fn progress(&self, elapsed: Duration) -> Progress {
+        Progress {
+            generations: self.generation,
+            evaluations: self.evaluations,
+            best_fitness: self.best_ever.fitness(),
+            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
+            stagnant_generations: self.stagnant_generations,
+            elapsed,
+            maximizing: self.problem.objective() == Objective::Maximize,
+            cost_units: self.evaluations as f64,
+        }
+    }
 
     fn record_run_started(&mut self) {
-        Ga::record_run_started(self);
+        if self.recorder.is_some() {
+            let engine = format!("ga-{}", self.scheme.name());
+            let problem = self.problem.name();
+            self.emit(EventKind::RunStarted {
+                island: self.trace_island,
+                engine,
+                problem,
+                seed: self.seed,
+            });
+        }
     }
 
     fn record_run_finished(&mut self) {
-        Ga::record_run_finished(self);
+        if self.recorder.is_some() {
+            let best = self.best_ever.fitness();
+            self.emit(EventKind::RunFinished {
+                island: self.trace_island,
+                generations: self.generation,
+                evaluations: self.evaluations,
+                best,
+                hit_optimum: self.problem.is_optimal(best),
+            });
+            if let Some(r) = &mut self.recorder {
+                r.flush();
+            }
+        }
     }
 
     fn snapshot(&self) -> Snapshot {

@@ -1,22 +1,18 @@
-//! Type-erased engines: drive any [`Engine`] family through one `dyn` shim.
+//! Boxed engines: drive any [`Engine`] family as `dyn Engine`.
 //!
-//! The unified [`Engine`] trait has an associated `Best` type, so
-//! `dyn Engine` is not usable directly — a runtime that multiplexes *many
+//! [`Engine`] is object-safe, so a runtime that multiplexes *many
 //! heterogeneous engines* (a panmictic GA next to a cellular grid next to
-//! an archipelago, as a job server does) needs an object-safe view. That
-//! view is [`ErasedEngine`]: every method of `Engine` except the
-//! `Best`-typed accessor, with best fitness reported through
-//! [`Progress`] instead.
-//!
-//! Every `Engine + Send` implements `ErasedEngine` automatically, and the
-//! [`ErasedRun`] adapter turns any `&mut dyn ErasedEngine` back into an
-//! [`Engine`] (with `Best = f64`), so erased engines run under the generic
+//! an archipelago, as a job server does) holds each one as a
+//! [`BoxedEngine`] and calls the trait's methods on the box directly. The
+//! engine-specific best solution is the one thing a trait object cannot
+//! name; for `dyn Engine` the [`Incumbent`] is the best *fitness* its
+//! [`Progress`] reports, so a boxed engine runs under the generic
 //! [`Driver`](crate::driver::Driver) unchanged — same check-then-step
 //! semantics, same termination rules, same checkpoint contract.
 //!
 //! ```
-//! use pga_core::erased::{erase, BoxedEngine, ErasedRun};
-//! use pga_core::driver::{Driver, Engine};
+//! use pga_core::erased::BoxedEngine;
+//! use pga_core::driver::Driver;
 //! use pga_core::ops::{BitFlip, OnePoint, Tournament};
 //! use pga_core::problem::{Objective, Problem};
 //! use pga_core::repr::BitString;
@@ -41,120 +37,50 @@
 //!     .mutation(BitFlip::one_over_len(16))
 //!     .build()
 //!     .unwrap();
-//! let mut boxed: BoxedEngine = erase(ga);
+//! let mut boxed: BoxedEngine = Box::new(ga);
+//! assert_eq!(boxed.engine_id(), "ga");
 //! let outcome = Driver::new(Termination::new().max_generations(5))
-//!     .run(&mut ErasedRun(boxed.as_mut()))
+//!     .run(boxed.as_mut())
 //!     .unwrap();
 //! assert_eq!(outcome.generations, 5);
+//! assert_eq!(outcome.best, outcome.best_fitness);
 //! ```
 
 use std::time::Duration;
 
-use crate::driver::{Clock, Engine, PollReport, StepReport};
+use crate::driver::{Clock, Engine, Incumbent, PollReport, StepReport};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::termination::Progress;
 
-/// Object-safe view of [`Engine`]: everything except the associated
-/// `Best` type. Use [`erase`] to box a concrete engine, and drive the box
-/// with the generic [`Driver`](crate::driver::Driver) or step it manually.
-pub trait ErasedEngine: Send {
-    /// Stable tag identifying the engine family (see
-    /// [`Engine::engine_id`]); matches the tag stamped on snapshots.
-    fn engine_id(&self) -> &'static str;
-
-    /// Advances one step (generation, sweep, or epoch).
-    fn step(&mut self) -> StepReport;
-
-    /// Non-blocking advance: folds the work available right now (see
-    /// [`Engine::poll_step`]).
-    fn poll_step(&mut self) -> PollReport;
-
-    /// Current progress snapshot for termination checks; carries the best
-    /// fitness in place of the erased `Best` value.
-    fn progress(&self, elapsed: Duration) -> Progress;
-
-    /// The engine's time base (wall or virtual).
-    fn clock(&self) -> Clock;
-
-    /// `true` when the engine can make no further progress.
-    fn halted(&self) -> bool;
-
-    /// Emits a `RunStarted` observability event, if the engine records.
-    fn record_run_started(&mut self);
-
-    /// Emits a `RunFinished` observability event and flushes, if any.
-    fn record_run_finished(&mut self);
-
-    /// Captures the engine's dynamic state as a checkpoint.
-    fn snapshot(&self) -> Snapshot;
-
-    /// Restores a checkpoint taken from an identically configured engine.
-    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError>;
-}
-
-impl<E: Engine + Send> ErasedEngine for E {
-    fn engine_id(&self) -> &'static str {
-        Engine::engine_id(self)
-    }
-
-    fn step(&mut self) -> StepReport {
-        Engine::step(self)
-    }
-
-    fn poll_step(&mut self) -> PollReport {
-        Engine::poll_step(self)
-    }
-
-    fn progress(&self, elapsed: Duration) -> Progress {
-        Engine::progress(self, elapsed)
-    }
-
-    fn clock(&self) -> Clock {
-        Engine::clock(self)
-    }
-
-    fn halted(&self) -> bool {
-        Engine::halted(self)
-    }
-
-    fn record_run_started(&mut self) {
-        Engine::record_run_started(self);
-    }
-
-    fn record_run_finished(&mut self) {
-        Engine::record_run_finished(self);
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        Engine::snapshot(self)
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        Engine::restore(self, snapshot)
-    }
-}
-
 /// A heap-allocated, type-erased engine.
-pub type BoxedEngine = Box<dyn ErasedEngine>;
+pub type BoxedEngine = Box<dyn Engine + Send>;
 
-/// Boxes a concrete engine behind the erased interface.
-#[must_use]
-pub fn erase<E: Engine + Send + 'static>(engine: E) -> BoxedEngine {
-    Box::new(engine)
-}
-
-/// Adapter making a borrowed erased engine an [`Engine`] again, with
-/// `Best = f64` (the best fitness reported by [`ErasedEngine::progress`]):
-/// erased engines run under the generic driver with unchanged semantics.
-///
-/// A separate wrapper (instead of `impl Engine for BoxedEngine`) keeps
-/// method calls on the box unambiguous — the box only ever exposes the
-/// `ErasedEngine` surface.
-pub struct ErasedRun<'a>(pub &'a mut dyn ErasedEngine);
-
-impl Engine for ErasedRun<'_> {
+/// A type-erased engine's best is its best fitness.
+impl Incumbent for dyn Engine + Send + '_ {
     type Best = f64;
 
+    fn best(&self) -> f64 {
+        self.progress(Duration::ZERO).best_fitness
+    }
+}
+
+/// Forwards every [`Engine`] method to the borrowed `dyn Engine`.
+///
+/// Kept only for the repository benchmark (`examples/benchmark`), whose
+/// sources are frozen and still spell `Driver::run(&mut
+/// ErasedRun(engine.as_mut()))`. New code passes `engine.as_mut()` to
+/// [`Driver::run`](crate::driver::Driver::run) directly.
+pub struct ErasedRun<'a>(pub &'a mut (dyn Engine + Send));
+
+impl Incumbent for ErasedRun<'_> {
+    type Best = f64;
+
+    fn best(&self) -> f64 {
+        self.0.best()
+    }
+}
+
+impl Engine for ErasedRun<'_> {
     fn engine_id(&self) -> &'static str {
         self.0.engine_id()
     }
@@ -169,10 +95,6 @@ impl Engine for ErasedRun<'_> {
 
     fn progress(&self, elapsed: Duration) -> Progress {
         self.0.progress(elapsed)
-    }
-
-    fn best(&self) -> f64 {
-        self.0.progress(Duration::ZERO).best_fitness
     }
 
     fn clock(&self) -> Clock {
@@ -197,101 +119,5 @@ impl Engine for ErasedRun<'_> {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.0.restore(snapshot)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::driver::Driver;
-    use crate::engine::Ga;
-    use crate::ops::{BitFlip, OnePoint, Tournament};
-    use crate::problem::{Objective, Problem};
-    use crate::repr::BitString;
-    use crate::rng::Rng64;
-    use crate::termination::Termination;
-
-    struct OneMax(usize);
-    impl Problem for OneMax {
-        type Genome = BitString;
-        fn name(&self) -> String {
-            "onemax".into()
-        }
-        fn objective(&self) -> Objective {
-            Objective::Maximize
-        }
-        fn evaluate(&self, g: &BitString) -> f64 {
-            g.count_ones() as f64
-        }
-        fn random_genome(&self, rng: &mut Rng64) -> BitString {
-            BitString::random(self.0, rng)
-        }
-        fn optimum(&self) -> Option<f64> {
-            Some(self.0 as f64)
-        }
-    }
-
-    fn onemax_ga(seed: u64) -> Ga<OneMax> {
-        Ga::builder(OneMax(32))
-            .seed(seed)
-            .pop_size(20)
-            .selection(Tournament::binary())
-            .crossover(OnePoint)
-            .mutation(BitFlip::one_over_len(32))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn erased_engine_tracks_the_concrete_one_bit_for_bit() {
-        let mut concrete = onemax_ga(9);
-        let mut boxed = erase(onemax_ga(9));
-        for _ in 0..12 {
-            let a = concrete.step();
-            let b = boxed.step();
-            assert_eq!(a, b);
-        }
-        assert_eq!(
-            Engine::snapshot(&concrete).to_bytes(),
-            boxed.snapshot().to_bytes()
-        );
-    }
-
-    #[test]
-    fn boxed_engine_runs_under_the_generic_driver() {
-        let mut boxed: BoxedEngine = erase(onemax_ga(4));
-        let outcome = Driver::new(Termination::new().max_generations(8))
-            .run(&mut ErasedRun(boxed.as_mut()))
-            .unwrap();
-        assert_eq!(outcome.generations, 8);
-        assert_eq!(outcome.best_fitness, outcome.best);
-    }
-
-    #[test]
-    fn erased_snapshot_restores_across_the_boundary() {
-        let mut first = erase(onemax_ga(5));
-        for _ in 0..6 {
-            first.step();
-        }
-        let checkpoint = first.snapshot();
-        assert_eq!(checkpoint.engine_tag(), "ga");
-
-        let mut resumed = erase(onemax_ga(5));
-        resumed.restore(&checkpoint).unwrap();
-        for _ in 0..4 {
-            first.step();
-            resumed.step();
-        }
-        assert_eq!(first.snapshot().to_bytes(), resumed.snapshot().to_bytes());
-    }
-
-    #[test]
-    fn wrong_family_restore_is_rejected_through_the_erased_interface() {
-        let mut boxed = erase(onemax_ga(1));
-        let err = boxed
-            .restore(&Snapshot::new("cellular", vec![]))
-            .err()
-            .unwrap();
-        assert!(matches!(err, SnapshotError::WrongEngine { .. }));
     }
 }

@@ -71,9 +71,9 @@ pub mod rng;
 pub mod snapshot;
 pub mod termination;
 
-pub use driver::{Clock, Driver, Engine, PollReport, RunOutcome, StepReport};
+pub use driver::{Clock, Driver, Engine, Incumbent, PollReport, RunOutcome, StepReport};
 pub use engine::{Ga, GaBuilder, Scheme};
-pub use erased::{erase, BoxedEngine, ErasedEngine, ErasedRun};
+pub use erased::{BoxedEngine, ErasedRun};
 pub use error::ConfigError;
 pub use eval::{Evaluator, SerialEvaluator};
 pub use individual::Individual;

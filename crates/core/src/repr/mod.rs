@@ -32,7 +32,9 @@ use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 /// snapshot format so any engine's population can be checkpointed and
 /// resumed bit-identically.
 pub trait Genome: Clone + Send + Sync + 'static {
-    /// Serializes the genome into a snapshot payload.
+    /// Serializes the genome into a snapshot payload. Every encoding takes
+    /// at least one byte: decoders bound a claimed genome count by the
+    /// bytes left (see [`SnapshotReader::take_count`]).
     fn encode(&self, w: &mut SnapshotWriter);
 
     /// Deserializes a genome written by [`Genome::encode`], validating
@@ -55,8 +57,10 @@ impl Genome for BitString {
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let len = r.take_usize()?;
-        let mut words = Vec::with_capacity(len.div_ceil(64));
-        for _ in 0..len.div_ceil(64) {
+        let n_words = len.div_ceil(64);
+        r.check_room(n_words, 8)?;
+        let mut words = Vec::with_capacity(n_words);
+        for _ in 0..n_words {
             words.push(r.take_u64()?);
         }
         // `from_words` re-masks the tail, matching the old decoder's
@@ -126,9 +130,9 @@ impl Genome for Permutation {
     }
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let len = r.take_usize()?;
-        let mut order = Vec::new();
-        let mut seen = vec![false; len.min(1 << 24)];
+        let len = r.take_count(8)?;
+        let mut order = Vec::with_capacity(len);
+        let mut seen = vec![false; len];
         for _ in 0..len {
             let v = r.take_u64()?;
             let i = usize::try_from(v)
@@ -137,7 +141,7 @@ impl Genome for Permutation {
                 .ok_or_else(|| {
                     SnapshotError::Invalid(format!("Permutation value {v} out of 0..{len}"))
                 })?;
-            if i < seen.len() && std::mem::replace(&mut seen[i], true) {
+            if std::mem::replace(&mut seen[i], true) {
                 return Err(SnapshotError::Invalid(format!(
                     "Permutation repeats value {i}"
                 )));

@@ -324,6 +324,31 @@ impl<'a> SnapshotReader<'a> {
             .map_err(|_| SnapshotError::Invalid("usize overflow".into()))
     }
 
+    /// Reads an item count and rejects it with [`SnapshotError::Truncated`]
+    /// unless `count` items of at least `min_bytes_per_item` encoded bytes
+    /// each fit in the bytes left. A count that passes is bounded by the
+    /// payload size, so `Vec::with_capacity(count)` is safe on untrusted
+    /// input.
+    pub fn take_count(&mut self, min_bytes_per_item: usize) -> Result<usize, SnapshotError> {
+        let count = self.take_usize()?;
+        self.check_room(count, min_bytes_per_item)?;
+        Ok(count)
+    }
+
+    /// The rule behind [`take_count`](Self::take_count), for a count that
+    /// is not itself the item count (bits packed into words).
+    pub(crate) fn check_room(
+        &self,
+        count: usize,
+        min_bytes_per_item: usize,
+    ) -> Result<(), SnapshotError> {
+        let left = self.data.len().saturating_sub(self.pos);
+        match count.checked_mul(min_bytes_per_item) {
+            Some(needed) if needed <= left => Ok(()),
+            _ => Err(SnapshotError::Truncated),
+        }
+    }
+
     /// Reads an `f64` bit pattern.
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.take_u64()?))

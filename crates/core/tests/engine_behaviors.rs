@@ -4,7 +4,7 @@
 use pga_core::diversity::mean_hamming;
 use pga_core::ops::{BitFlip, NoMutation, OnePoint, Roulette, Sus, Tournament, Uniform};
 use pga_core::{
-    BitString, Ga, GaBuilder, Objective, Problem, Rng64, Scheme, StopReason, Termination,
+    BitString, Engine, Ga, GaBuilder, Objective, Problem, Rng64, Scheme, StopReason, Termination,
 };
 use std::sync::Arc;
 use std::time::Duration;

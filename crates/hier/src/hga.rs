@@ -3,8 +3,8 @@
 use crate::fidelity::{FidelityProblem, LevelView};
 use pga_core::ops::ReplacementPolicy;
 use pga_core::{
-    ConfigError, Driver, Engine, Ga, Individual, Objective, Problem, Progress, RunOutcome,
-    SerialEvaluator, Snapshot, SnapshotError, SnapshotWriter, StepReport, Termination,
+    ConfigError, Driver, Engine, Ga, Incumbent, Individual, Objective, Problem, Progress,
+    RunOutcome, SerialEvaluator, Snapshot, SnapshotError, SnapshotWriter, StepReport, Termination,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -358,9 +358,15 @@ impl<F: FidelityProblem> Hga<F> {
     }
 }
 
-impl<F: FidelityProblem> Engine for Hga<F> {
+impl<F: FidelityProblem> Incumbent for Hga<F> {
     type Best = Individual<F::Genome>;
 
+    fn best(&self) -> Individual<F::Genome> {
+        self.best_precise()
+    }
+}
+
+impl<F: FidelityProblem> Engine for Hga<F> {
     fn engine_id(&self) -> &'static str {
         "hga"
     }
@@ -420,10 +426,6 @@ impl<F: FidelityProblem> Engine for Hga<F> {
         }
     }
 
-    fn best(&self) -> Individual<F::Genome> {
-        self.best_precise()
-    }
-
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
         w.put_f64(self.cost_units);
@@ -465,7 +467,7 @@ impl<F: FidelityProblem> Engine for Hga<F> {
         for _ in 0..n_charged {
             charged.push(r.take_u64()?);
         }
-        let n_points = r.take_usize()?;
+        let n_points = r.take_count(16)?;
         let mut trajectory = Vec::with_capacity(n_points);
         for _ in 0..n_points {
             let cost_units = r.take_f64()?;

@@ -6,7 +6,7 @@ use crate::resilient::{ResiliencePolicy, ResilientOptions};
 use pga_cluster::MigrationFaultPlan;
 use pga_core::termination::{Progress, StopReason, Termination};
 use pga_core::{
-    ConfigError, Driver, Engine, Genome, Individual, Objective, RunOutcome, Snapshot,
+    ConfigError, Driver, Engine, Genome, Incumbent, Individual, Objective, RunOutcome, Snapshot,
     SnapshotError, StepReport,
 };
 use pga_observe::{Event, EventKind, SharedRecorder};
@@ -508,12 +508,18 @@ impl<D: Deme> Archipelago<D> {
     }
 }
 
+impl<D: Deme> Incumbent for Archipelago<D> {
+    type Best = Individual<D::Genome>;
+
+    fn best(&self) -> Self::Best {
+        self.islands[self.best_island()].best_individual()
+    }
+}
+
 /// The coarse-grained island model as a uniformly driven [`Engine`]: one
 /// `step` is one generation on *every* island (round-robin = virtual
 /// lockstep) plus, at epoch boundaries, one synchronous migration.
 impl<D: Deme> Engine for Archipelago<D> {
-    type Best = Individual<D::Genome>;
-
     fn engine_id(&self) -> &'static str {
         "archipelago"
     }
@@ -581,10 +587,6 @@ impl<D: Deme> Engine for Archipelago<D> {
             maximizing: self.objective() == Objective::Maximize,
             cost_units: evaluations as f64,
         }
-    }
-
-    fn best(&self) -> Self::Best {
-        self.islands[self.best_island()].best_individual()
     }
 
     fn record_run_started(&mut self) {
@@ -659,7 +661,7 @@ impl<D: Deme> Engine for Archipelago<D> {
         let mut pending = Vec::with_capacity(n);
         if self.policy.sync == SyncMode::Overlap {
             for _ in 0..n {
-                let count = r.take_usize()?;
+                let count = r.take_count(1)?;
                 let mut inbox = Vec::with_capacity(count);
                 for _ in 0..count {
                     let genome = <D::Genome as Genome>::decode(&mut r)?;

@@ -188,11 +188,11 @@ impl<P: Problem, E: Evaluator<P>> Deme for Ga<P, E> {
     }
 
     fn record_run_started(&mut self) {
-        Ga::record_run_started(self);
+        Engine::record_run_started(self);
     }
 
     fn record_run_finished(&mut self) {
-        Ga::record_run_finished(self);
+        Engine::record_run_finished(self);
     }
 
     fn snapshot_deme(&self) -> Snapshot {

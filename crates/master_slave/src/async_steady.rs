@@ -36,8 +36,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pga_cluster::{AsyncDispatchSim, ClusterSpec, EvalCostModel, FaultPlan};
 use pga_core::ops::{Crossover, Mutation, ReplacementPolicy, Selection};
 use pga_core::{
-    Clock, ConfigError, Driver, Engine, Genome, Individual, PollReport, Population, Problem,
-    Progress, Rng64, RunOutcome, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    Clock, ConfigError, Driver, Engine, Genome, Incumbent, Individual, PollReport, Population,
+    Problem, Progress, Rng64, RunOutcome, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
     StepReport, Termination,
 };
 use pga_observe::{Event, EventKind, Recorder};
@@ -536,9 +536,15 @@ impl<P: Problem> AsyncSteadyStateGa<P> {
     }
 }
 
-impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
+impl<P: Problem> Incumbent for AsyncSteadyStateGa<P> {
     type Best = Individual<P::Genome>;
 
+    fn best(&self) -> Self::Best {
+        self.search.best_ever.clone()
+    }
+}
+
+impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
     fn engine_id(&self) -> &'static str {
         "async-steady"
     }
@@ -569,10 +575,6 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
 
     fn progress(&self, elapsed: Duration) -> Progress {
         self.search.progress(elapsed)
-    }
-
-    fn best(&self) -> Self::Best {
-        self.search.best_ever.clone()
     }
 
     fn clock(&self) -> Clock {
@@ -748,7 +750,7 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
                 v.in_flight = in_flight;
             }
             (Backend::Threaded(t), 1) => {
-                let outstanding = r.take_usize()?;
+                let outstanding = r.take_count(1)?;
                 let mut backlog = VecDeque::with_capacity(outstanding);
                 for _ in 0..outstanding {
                     backlog.push_back(P::Genome::decode(&mut r)?);

@@ -163,7 +163,7 @@ impl<P: Problem> Evaluator<P> for RayonEvaluator {
 mod tests {
     use super::*;
     use pga_core::ops::{BitFlip, OnePoint, Tournament};
-    use pga_core::{BitString, Ga, Objective, Rng64, Scheme, Termination};
+    use pga_core::{BitString, Engine, Ga, Objective, Rng64, Scheme, Termination};
 
     struct OneMax(usize);
     impl Problem for OneMax {

@@ -826,7 +826,7 @@ impl<P: Problem> Drop for ResilientEvaluator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pga_core::{BitString, Objective, Rng64, SerialEvaluator};
+    use pga_core::{BitString, Engine, Objective, Rng64, SerialEvaluator};
     use pga_observe::{replay, MetricsRecorder, RingRecorder};
 
     struct OneMax(usize);

@@ -9,8 +9,8 @@
 
 use pga_cluster::{ClusterSpec, FailurePlan, MasterSlaveSim};
 use pga_core::{
-    Clock, ConfigError, Driver, Engine, Evaluator, Ga, Individual, Problem, Progress, Snapshot,
-    SnapshotError, SnapshotWriter, StepReport, StopReason, Termination,
+    Clock, ConfigError, Driver, Engine, Evaluator, Ga, Incumbent, Individual, Problem, Progress,
+    Snapshot, SnapshotError, SnapshotWriter, StepReport, StopReason, Termination,
 };
 use pga_observe::{Event, EventKind, Recorder, Time};
 use std::time::Duration;
@@ -127,9 +127,10 @@ impl<P: Problem, E: Evaluator<P>> SimulatedMasterSlaveGa<P, E> {
         }
     }
 
-    /// Current virtual time.
+    /// Current virtual time in simulated seconds (the [`Engine::clock`]
+    /// value as a plain number).
     #[must_use]
-    pub fn clock(&self) -> f64 {
+    pub fn sim_seconds(&self) -> f64 {
         self.clock
     }
 
@@ -185,27 +186,6 @@ impl<P: Problem, E: Evaluator<P>> SimulatedMasterSlaveGa<P, E> {
         report.completed == evals as usize
     }
 
-    /// Advances one generation, charging its evaluations to the virtual
-    /// clock. When the cluster can no longer complete a batch (all nodes
-    /// dead) the engine marks itself halted — see [`Engine::halted`].
-    pub fn step(&mut self) -> StepReport {
-        let before = self.ga.evaluations();
-        let stats = self.ga.step();
-        let evals = self.ga.evaluations() - before;
-        if !self.charge_batch(evals) {
-            self.halted = true;
-        }
-        self.emit(Time::Sim(self.clock), |_| EventKind::GenerationCompleted {
-            island: 0,
-            generation: stats.generation,
-            evaluations: stats.evaluations,
-            best: stats.best,
-            mean: stats.mean,
-            best_ever: stats.best_ever,
-        });
-        stats
-    }
-
     /// Nodes dead at the current virtual time.
     #[must_use]
     pub fn dead_nodes(&self) -> usize {
@@ -238,24 +218,43 @@ impl<P: Problem, E: Evaluator<P>> SimulatedMasterSlaveGa<P, E> {
     }
 }
 
-impl<P: Problem, E: Evaluator<P>> Engine for SimulatedMasterSlaveGa<P, E> {
+impl<P: Problem, E: Evaluator<P>> Incumbent for SimulatedMasterSlaveGa<P, E> {
     type Best = Individual<P::Genome>;
 
+    fn best(&self) -> Individual<P::Genome> {
+        self.ga.best_ever().clone()
+    }
+}
+
+impl<P: Problem, E: Evaluator<P>> Engine for SimulatedMasterSlaveGa<P, E> {
     fn engine_id(&self) -> &'static str {
         "master-slave-sim"
     }
 
+    /// Advances one generation, charging its evaluations to the virtual
+    /// clock. When the cluster can no longer complete a batch (all nodes
+    /// dead) the engine marks itself halted — see [`Engine::halted`].
     fn step(&mut self) -> StepReport {
-        SimulatedMasterSlaveGa::step(self)
+        let before = self.ga.evaluations();
+        let stats = self.ga.step();
+        let evals = self.ga.evaluations() - before;
+        if !self.charge_batch(evals) {
+            self.halted = true;
+        }
+        self.emit(Time::Sim(self.clock), |_| EventKind::GenerationCompleted {
+            island: 0,
+            generation: stats.generation,
+            evaluations: stats.evaluations,
+            best: stats.best,
+            mean: stats.mean,
+            best_ever: stats.best_ever,
+        });
+        stats
     }
 
     fn progress(&self, elapsed: Duration) -> Progress {
         // The inner Ga tracks search progress; only the time base differs.
         Engine::progress(&self.ga, elapsed)
-    }
-
-    fn best(&self) -> Individual<P::Genome> {
-        self.ga.best_ever().clone()
     }
 
     fn clock(&self) -> Clock {

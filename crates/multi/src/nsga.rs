@@ -10,8 +10,8 @@ use crate::pareto::{crowding_distance, fast_nondominated_sort};
 use crate::problems::MoProblem;
 use pga_core::ops::{Crossover, Mutation};
 use pga_core::{
-    ConfigError, Driver, Engine, Genome, Progress, Rng64, RunOutcome, Snapshot, SnapshotError,
-    SnapshotWriter, StepReport, Termination,
+    ConfigError, Driver, Engine, Genome, Incumbent, Progress, Rng64, RunOutcome, Snapshot,
+    SnapshotError, SnapshotWriter, StepReport, Termination,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -140,9 +140,88 @@ impl<P: MoProblem> MoEngine<P> {
         }
     }
 
+    /// Clones `count` random members of the current first front (migration
+    /// source for SIM).
+    #[must_use]
+    pub fn emigrants(&mut self, count: usize) -> Vec<MoIndividual<P::Genome>> {
+        let front = self.first_front();
+        if front.is_empty() {
+            return Vec::new();
+        }
+        let mut rng = self.rng.clone();
+        let out = (0..count)
+            .map(|_| self.population[*rng.choose(&front)].clone())
+            .collect();
+        self.rng = rng;
+        out
+    }
+
+    /// Replaces random members with immigrants (their stored full objective
+    /// vectors are kept — no re-evaluation needed, the problem is shared).
+    pub fn receive_immigrants(&mut self, immigrants: Vec<MoIndividual<P::Genome>>) {
+        let mut rng = self.rng.clone();
+        for im in immigrants {
+            let slot = rng.below(self.population.len());
+            self.population[slot] = im;
+        }
+        self.rng = rng;
+    }
+
+    /// (min, mean) of the masked-objective sum across the population — the
+    /// scalar quality proxy reported through [`StepReport`] / [`Progress`].
+    /// Smaller is better (minimization convention).
+    fn proxy_stats(&self) -> (f64, f64) {
+        let mut min = f64::INFINITY;
+        let mut sum = 0.0;
+        for m in &self.population {
+            let s: f64 = m
+                .objectives
+                .iter()
+                .zip(&self.mask)
+                .filter(|&(_, &keep)| keep)
+                .map(|(&o, _)| o)
+                .sum();
+            min = min.min(s);
+            sum += s;
+        }
+        (min, sum / self.population.len() as f64)
+    }
+
+    /// Runs under `termination` through the shared [`Driver`]. Fitness
+    /// targets apply to the masked-objective-sum proxy (minimized); there
+    /// is no known optimum, so `until_optimum` never fires.
+    ///
+    /// # Errors
+    /// [`ConfigError::UnboundedTermination`] when `termination` has no
+    /// criteria.
+    pub fn run(
+        &mut self,
+        termination: &Termination,
+    ) -> Result<RunOutcome<Vec<MoIndividual<P::Genome>>>, ConfigError> {
+        Driver::new(termination.clone()).run(self)
+    }
+}
+
+impl<P: MoProblem> Incumbent for MoEngine<P> {
+    /// The current first front under the engine's objective mask.
+    type Best = Vec<MoIndividual<P::Genome>>;
+
+    fn best(&self) -> Vec<MoIndividual<P::Genome>> {
+        self.first_front()
+            .into_iter()
+            .map(|i| self.population[i].clone())
+            .collect()
+    }
+}
+
+impl<P: MoProblem> Engine for MoEngine<P> {
+    fn engine_id(&self) -> &'static str {
+        "nsga"
+    }
+
     /// One NSGA-II generation: breed `pop_size` offspring, then select the
     /// best `pop_size` of parents+offspring by (rank, crowding).
-    pub fn step(&mut self) {
+    fn step(&mut self) -> StepReport {
         let n = self.population.len();
         let (rank, crowd) = self.rank_and_crowding();
         let mut rng = self.rng.clone();
@@ -209,80 +288,6 @@ impl<P: MoProblem> MoEngine<P> {
         }
         self.population = next;
         self.generation += 1;
-    }
-
-    /// Clones `count` random members of the current first front (migration
-    /// source for SIM).
-    #[must_use]
-    pub fn emigrants(&mut self, count: usize) -> Vec<MoIndividual<P::Genome>> {
-        let front = self.first_front();
-        if front.is_empty() {
-            return Vec::new();
-        }
-        let mut rng = self.rng.clone();
-        let out = (0..count)
-            .map(|_| self.population[*rng.choose(&front)].clone())
-            .collect();
-        self.rng = rng;
-        out
-    }
-
-    /// Replaces random members with immigrants (their stored full objective
-    /// vectors are kept — no re-evaluation needed, the problem is shared).
-    pub fn receive_immigrants(&mut self, immigrants: Vec<MoIndividual<P::Genome>>) {
-        let mut rng = self.rng.clone();
-        for im in immigrants {
-            let slot = rng.below(self.population.len());
-            self.population[slot] = im;
-        }
-        self.rng = rng;
-    }
-
-    /// (min, mean) of the masked-objective sum across the population — the
-    /// scalar quality proxy reported through [`StepReport`] / [`Progress`].
-    /// Smaller is better (minimization convention).
-    fn proxy_stats(&self) -> (f64, f64) {
-        let mut min = f64::INFINITY;
-        let mut sum = 0.0;
-        for m in &self.population {
-            let s: f64 = m
-                .objectives
-                .iter()
-                .zip(&self.mask)
-                .filter(|&(_, &keep)| keep)
-                .map(|(&o, _)| o)
-                .sum();
-            min = min.min(s);
-            sum += s;
-        }
-        (min, sum / self.population.len() as f64)
-    }
-
-    /// Runs under `termination` through the shared [`Driver`]. Fitness
-    /// targets apply to the masked-objective-sum proxy (minimized); there
-    /// is no known optimum, so `until_optimum` never fires.
-    ///
-    /// # Errors
-    /// [`ConfigError::UnboundedTermination`] when `termination` has no
-    /// criteria.
-    pub fn run(
-        &mut self,
-        termination: &Termination,
-    ) -> Result<RunOutcome<Vec<MoIndividual<P::Genome>>>, ConfigError> {
-        Driver::new(termination.clone()).run(self)
-    }
-}
-
-impl<P: MoProblem> Engine for MoEngine<P> {
-    /// The current first front under the engine's objective mask.
-    type Best = Vec<MoIndividual<P::Genome>>;
-
-    fn engine_id(&self) -> &'static str {
-        "nsga"
-    }
-
-    fn step(&mut self) -> StepReport {
-        MoEngine::step(self);
         let (min, mean) = self.proxy_stats();
         if min < self.best_proxy {
             self.best_proxy = min;
@@ -311,13 +316,6 @@ impl<P: MoProblem> Engine for MoEngine<P> {
             maximizing: false,
             cost_units: self.evaluations as f64,
         }
-    }
-
-    fn best(&self) -> Vec<MoIndividual<P::Genome>> {
-        self.first_front()
-            .into_iter()
-            .map(|i| self.population[i].clone())
-            .collect()
     }
 
     fn snapshot(&self) -> Snapshot {

@@ -3,7 +3,7 @@
 use crate::event::{Event, EventKind};
 use crate::metrics::Registry;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Consumes a stream of [`Event`]s.
 ///
@@ -35,6 +35,13 @@ pub fn replay<R: Recorder + ?Sized>(events: &[Event], recorder: &mut R) {
         recorder.record(event);
     }
     recorder.flush();
+}
+
+/// Locks a recorder's shared state. A poisoned lock only means another
+/// holder panicked mid-event; the buffer is still consistent, so tracing
+/// carries on instead of taking the engine down with it.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct RingInner {
@@ -74,25 +81,25 @@ impl RingRecorder {
     /// Snapshot of the buffered events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().events.iter().cloned().collect()
+        lock(&self.inner).events.iter().cloned().collect()
     }
 
     /// Drains the buffered events, oldest first.
     #[must_use]
     pub fn take_events(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().events.drain(..).collect()
+        lock(&self.inner).events.drain(..).collect()
     }
 
     /// Events evicted because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        lock(&self.inner).dropped
     }
 
     /// Buffered event count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().events.len()
+        lock(&self.inner).events.len()
     }
 
     /// `true` when no events are buffered.
@@ -104,7 +111,7 @@ impl RingRecorder {
 
 impl Recorder for RingRecorder {
     fn record(&mut self, event: &Event) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -136,11 +143,11 @@ impl SharedRecorder {
 
 impl Recorder for SharedRecorder {
     fn record(&mut self, event: &Event) {
-        self.inner.lock().unwrap().record(event);
+        lock(&self.inner).record(event);
     }
 
     fn flush(&mut self) {
-        self.inner.lock().unwrap().flush();
+        lock(&self.inner).flush();
     }
 }
 

@@ -5,7 +5,7 @@ use crate::record::Recorder;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Every column a flattened event can populate, in output order. One fixed
@@ -322,7 +322,10 @@ impl JsonlStream {
     }
 
     fn lock(&self) -> MutexGuard<'_, StreamInner> {
-        self.shared.inner.lock().unwrap()
+        self.shared
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stream with a default buffer of 64 Ki lines.
@@ -350,7 +353,7 @@ impl JsonlStream {
             .shared
             .ready
             .wait_timeout_while(inner, timeout, |i| i.lines.is_empty() && !i.closed)
-            .unwrap();
+            .unwrap_or_else(PoisonError::into_inner);
         inner.waiters -= 1;
         let lines = inner.drain();
         (lines, inner.closed)

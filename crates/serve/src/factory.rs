@@ -26,11 +26,11 @@ use pga_cellular::CellularGa;
 use pga_cluster::{ClusterSpec, EvalCostModel, NetworkProfile};
 use pga_compact::{CompactGaBuilder, ShardedCompactGaBuilder};
 use pga_core::engine::Scheme;
-use pga_core::erased::{erase, BoxedEngine};
+use pga_core::erased::BoxedEngine;
 use pga_core::ops::{BitFlip, OnePoint, ReplacementPolicy, Tournament};
 use pga_core::problem::Problem;
 use pga_core::repr::BitString;
-use pga_core::rng::Rng64;
+use pga_core::rng::{splitmix64, Rng64};
 use pga_core::{ConfigError, GaBuilder};
 use pga_island::{Archipelago, MigrationPolicy};
 use pga_master_slave::AsyncSteadyStateGa;
@@ -274,16 +274,6 @@ impl Registries {
     }
 }
 
-/// Derives the seed for island `i` from the job seed (splitmix64 step),
-/// so islands diverge while the whole archipelago stays a pure function
-/// of the job spec.
-fn island_seed(seed: u64, i: usize) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn config_err(err: ConfigError) -> ProtocolError {
     ProtocolError::Invalid {
         field: "engine",
@@ -408,7 +398,7 @@ pub fn default_registries() -> Registries {
             if let Some(s) = ctx.stream {
                 ga.set_recorder(s);
             }
-            Ok(erase(ga))
+            Ok(Box::new(ga))
         },
     );
     families.register(
@@ -431,7 +421,7 @@ pub fn default_registries() -> Registries {
             if let Some(s) = ctx.stream {
                 ga.set_recorder(s);
             }
-            Ok(erase(ga))
+            Ok(Box::new(ga))
         },
     );
     families.register(
@@ -454,7 +444,7 @@ pub fn default_registries() -> Registries {
             if let Some(s) = ctx.stream {
                 cga.set_recorder(s);
             }
-            Ok(erase(cga))
+            Ok(Box::new(cga))
         },
     );
     families.register(
@@ -467,10 +457,14 @@ pub fn default_registries() -> Registries {
         |ctx| {
             let islands = edim(ctx.params, "islands", "engine.islands", Some(4))?;
             let pop = edim(ctx.params, "pop", "engine.pop", None)?;
+            // Island seeds are successive splitmix64 draws from the job
+            // seed, so islands diverge while the whole archipelago stays a
+            // pure function of the job spec.
+            let mut seeds = ctx.seed;
             let demes = (0..islands)
-                .map(|i| {
+                .map(|_| {
                     let mut ga = GaBuilder::new(Arc::clone(&ctx.problem))
-                        .seed(island_seed(ctx.seed, i))
+                        .seed(splitmix64(&mut seeds))
                         .pop_size(pop)
                         .selection(Tournament::binary())
                         .crossover(OnePoint)
@@ -486,7 +480,7 @@ pub fn default_registries() -> Registries {
                 .collect::<Result<Vec<_>, ProtocolError>>()?;
             let arch = Archipelago::new(demes, Topology::RingUni, MigrationPolicy::default())
                 .map_err(config_err)?;
-            Ok(erase(arch))
+            Ok(Box::new(arch))
         },
     );
     families.register(
@@ -520,7 +514,7 @@ pub fn default_registries() -> Registries {
             if let Some(s) = ctx.stream {
                 ga.set_recorder(s);
             }
-            Ok(erase(ga))
+            Ok(Box::new(ga))
         },
     );
     families.register(
@@ -535,7 +529,7 @@ pub fn default_registries() -> Registries {
             if let Some(s) = ctx.stream {
                 builder = builder.recorder(s);
             }
-            Ok(erase(builder.build().map_err(config_err)?))
+            Ok(Box::new(builder.build().map_err(config_err)?))
         },
     );
     families.register(
@@ -557,7 +551,7 @@ pub fn default_registries() -> Registries {
             if let Some(s) = ctx.stream {
                 builder = builder.recorder(s);
             }
-            Ok(erase(builder.build().map_err(config_err)?))
+            Ok(Box::new(builder.build().map_err(config_err)?))
         },
     );
 
@@ -566,8 +560,8 @@ pub fn default_registries() -> Registries {
 
 /// Instantiates the engine a spec describes via the built-in
 /// registries, attaches `stream` as its observability recorder (when
-/// given), and erases it for the job runtime. The same spec always
-/// yields a bit-identical engine.
+/// given), and boxes it as a `dyn Engine` for the job runtime. The same
+/// spec always yields a bit-identical engine.
 pub fn build_engine(
     spec: &JobSpec,
     stream: Option<JsonlStream>,
@@ -667,7 +661,7 @@ mod tests {
                     .virtual_pop(31)
                     .build()
                     .map_err(config_err)?;
-                Ok(erase(ga))
+                Ok(Box::new(ga))
             },
         );
         assert_eq!(reg.snapshot_tag("demo"), Some("cga"));

@@ -1,6 +1,6 @@
 //! Job identity, lifecycle state, and status reporting.
 //!
-//! A [`Job`] is one submitted optimization run: the wire spec, the erased
+//! A [`Job`] is one submitted optimization run: the wire spec, the boxed
 //! engine built from it, its stopping rule, and the counters the
 //! scheduler maintains across slices. Jobs move through the
 //! [`JobState`] lifecycle `Queued → Running → {Done, Cancelled, Failed,
@@ -146,7 +146,7 @@ pub struct Job {
     pub spec: JobSpec,
     /// Stopping rule derived from the spec's budget.
     pub termination: Termination,
-    /// The erased engine; `None` while a slice is executing on the pool,
+    /// The boxed engine; `None` while a slice is executing on the pool,
     /// and dropped once the job reaches a terminal state.
     pub engine: Option<BoxedEngine>,
     /// Lifecycle state.

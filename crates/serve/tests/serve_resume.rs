@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use pga_core::{Driver, ErasedRun};
+use pga_core::Driver;
 use pga_serve::factory::build_engine;
 use pga_serve::{
     Budget, EngineSpec, JobId, JobSpec, JobState, ProblemSpec, Serve, ServeBuilder, Spool,
@@ -66,7 +66,7 @@ fn reference_run(spec: &JobSpec) -> (u64, Vec<u8>) {
     let mut engine = build_engine(spec, None).expect("reference engine builds");
     let termination = spec.budget.to_termination().expect("bounded budget");
     let outcome = Driver::new(termination)
-        .run(&mut ErasedRun(engine.as_mut()))
+        .run(engine.as_mut())
         .expect("reference run completes");
     (outcome.best_fitness.to_bits(), engine.snapshot().to_bytes())
 }

@@ -10,9 +10,13 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> clippy unwrap gate (pga-master-slave, pga-cluster, pga-island, pga-serve, pga-compact lib code)"
+echo "==> clippy unwrap gate (lib code of every library crate)"
 # Lib targets only (no --all-targets): test modules may unwrap freely.
-cargo clippy -q --no-deps -p pga-master-slave -p pga-cluster -p pga-island -p pga-serve -p pga-compact -- -D warnings -D clippy::unwrap_used
+cargo clippy -q --no-deps \
+    -p pga-core -p pga-observe -p pga-problems -p pga-topology -p pga-cluster \
+    -p pga-master-slave -p pga-island -p pga-cellular -p pga-hierarchical \
+    -p pga-multiobjective -p pga-compact -p pga-analysis -p pga-apps -p pga-serve \
+    -- -D warnings -D clippy::unwrap_used
 
 echo "==> clippy expect gate (pga-serve lib code: no expect/panic paths in the server)"
 # The job server must never take the pool down on a bad input; lib code
@@ -62,6 +66,11 @@ echo "==> repo benchmark builds against the serve API and its unit tests pass"
 # The benchmark is a package of its own (not a workspace member): a serve
 # API change that breaks it must fail here, not in a benchmark run.
 cargo test -q --offline --manifest-path examples/benchmark/Cargo.toml
+
+echo "==> repo benchmark smoke run (every workload must report correct)"
+# Exits non-zero unless every workload is correct. Windows shorter than
+# 5 s are too short for serve-mixed's steady-backlog check.
+timeout 300 cargo run --release --quiet --offline --manifest-path examples/benchmark/Cargo.toml -- --seconds 5 --trace 0 > /dev/null
 
 echo "==> e19 serve load smoke (quick mode: no results files rewritten)"
 timeout 300 cargo run -q --release -p pga-bench --bin e19_serve_load -- --quick > /dev/null

@@ -4,9 +4,10 @@
 //! use parallel_ga::prelude::*;
 //! ```
 //!
-//! brings in the [`Driver`]/[`Engine`] run loop, every engine-family
-//! builder (the canonical configuration path — each validates its inputs
-//! and returns [`ConfigError`] instead of panicking), the evaluator
+//! brings in the [`Driver`]/[`Engine`] run loop (with [`Incumbent`], the
+//! engine's typed best solution), every engine-family builder (the
+//! canonical configuration path — each validates its inputs and returns
+//! [`ConfigError`] instead of panicking), the evaluator
 //! substrates of the master–slave model, the observability recorders, and
 //! the operator / representation / problem vocabulary the examples use.
 //!
@@ -22,9 +23,10 @@ pub use pga_core::ops::{
     Swap, Tournament, Truncation, TwoPoint, Uniform,
 };
 pub use pga_core::{
-    BitString, Bounds, Clock, ConfigError, Driver, Engine, Evaluator, Genome, Individual,
-    IntVector, Objective, Permutation, PopStats, Population, Problem, Progress, RealVector, Rng64,
-    RunOutcome, SerialEvaluator, Snapshot, SnapshotError, StepReport, StopReason, Termination,
+    BitString, Bounds, Clock, ConfigError, Driver, Engine, Evaluator, Genome, Incumbent,
+    Individual, IntVector, Objective, Permutation, PopStats, Population, Problem, Progress,
+    RealVector, Rng64, RunOutcome, SerialEvaluator, Snapshot, SnapshotError, StepReport,
+    StopReason, Termination,
 };
 
 // Observability: recorders, events, metrics.
@@ -71,9 +73,10 @@ pub use pga_compact::{
     CompactGa, CompactGaBuilder, ShardedCompactGa, ShardedCompactGaBuilder, WireStats,
 };
 
-// GA-as-a-service job server (the erased-engine runtime rides along so
-// embedded callers can drive a `BoxedEngine` under the generic driver).
-pub use pga_core::{erase, BoxedEngine, ErasedEngine, ErasedRun};
+// GA-as-a-service job server. It holds every job's engine as a
+// `BoxedEngine` (`Box<dyn Engine + Send>`), which embedded callers drive
+// under the generic driver with `Driver::run(boxed.as_mut())`.
+pub use pga_core::BoxedEngine;
 pub use pga_serve::{
     Budget, DrainReport, EngineSpec, FamilyRegistry, HealthReport, JobId, JobSpec, JobState,
     ProblemRegistry, ProblemSpec, Registries, Serve, ServeBuilder, ServeRuntime, SubmitError,

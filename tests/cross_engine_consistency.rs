@@ -4,7 +4,7 @@
 
 use parallel_ga::cluster::{ClusterSpec, FailurePlan, NetworkProfile};
 use parallel_ga::core::ops::{BitFlip, OnePoint, Tournament};
-use parallel_ga::core::{Ga, GaBuilder, Scheme, SerialEvaluator, Termination};
+use parallel_ga::core::{Engine, Ga, GaBuilder, Scheme, SerialEvaluator, Termination};
 use parallel_ga::island::{run_threaded, Archipelago, MigrationPolicy};
 use parallel_ga::master_slave::{RayonEvaluator, SimulatedMasterSlaveGa};
 use parallel_ga::problems::{DeceptiveTrap, OneMax};

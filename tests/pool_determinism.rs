@@ -9,7 +9,7 @@
 
 use parallel_ga::cellular::{CellularGa, UpdatePolicy};
 use parallel_ga::core::ops::{BitFlip, OnePoint, Tournament};
-use parallel_ga::core::{BitString, Evaluator, Ga, GaBuilder, Scheme, SerialEvaluator};
+use parallel_ga::core::{BitString, Engine, Evaluator, Ga, GaBuilder, Scheme, SerialEvaluator};
 use parallel_ga::master_slave::RayonEvaluator;
 use parallel_ga::problems::OneMax;
 use rayon::prelude::*;
