@@ -700,13 +700,13 @@ fn enqueue(st: &mut State, job: Job) {
 /// rebuilt or restored is marked [`JobState::Failed`], never dropped.
 fn recover(shared: &Shared, spool: &Spool) -> RecoverReport {
     let mut report = RecoverReport::default();
-    let scan = match spool.load_all() {
-        Ok(scan) => scan,
+    let loaded = match spool.load() {
+        Ok(loaded) => loaded,
         Err(_) => return report,
     };
-    report.skipped = scan.skipped.len();
+    report.skipped = loaded.skipped.len();
     let mut st = lock(&shared.state);
-    for record in scan.records {
+    for (record, checkpoint) in loaded.records {
         st.next_id = st.next_id.max(record.id.0 + 1);
         let stream = shared.new_stream();
         let mut tombstone = |st: &mut State, state: JobState, stream: JsonlStream| {
@@ -801,7 +801,8 @@ fn recover(shared: &Shared, spool: &Spool) -> RecoverReport {
         job.steps = record.steps;
         job.consumed = record.consumed;
         job.retries = record.retries;
-        let checkpoint = record.engine_snapshot.as_ref().map(|s| s.to_bytes().into());
+        // The bytes the scan verified are the snapshot's encoding: the
+        // resurrection checkpoint reuses them.
         shared.set_resume_from(&mut job, checkpoint);
         job.progress = record.progress;
         st.live += 1;

@@ -2,26 +2,40 @@
 //!
 //! Each record reuses the core PGAS container ([`Snapshot`] with the
 //! reserved tag `serve-job`), so records get the magic, versioning, and
-//! FNV-1a checksum of engine checkpoints for free. The payload holds the
+//! checksum of engine checkpoints for free. The container holds the
 //! job's identity, its verbatim wire spec (from which the engine is
-//! rebuilt deterministically), scheduler counters, mirrored progress, and
-//! the engine's own nested PGAS snapshot.
+//! rebuilt deterministically), scheduler counters, mirrored progress,
+//! and the length and stored checksum of the engine's own PGAS snapshot,
+//! whose bytes follow the container in the frame.
 //!
 //! ## Frames
 //!
-//! A save appends one frame, `[magic u32][job id u64][len u32][record]`
-//! (little-endian), to the active segment file `spool-<n>` with a single
-//! `write_all`. The header is built into the record's encode buffer, so
-//! the payload is never copied a second time. A frame with `len = 0` is a
+//! A save appends one frame to the active segment file `spool-<n>` with
+//! a single `write_all` (integers little-endian):
+//!
+//! ```text
+//! [magic "PGJF"][job id u64][len u32][record container][engine snapshot]
+//! ```
+//!
+//! `len` is exactly the container's length plus the engine snapshot's.
+//! The engine snapshot is appended as the slice encoded it: it carries
+//! its own checksum, computed once on the slice's worker, and the
+//! container's checksum covers only the record's fields plus a copy of
+//! that stored checksum. So every byte of a frame passes through one
+//! checksum on write and one on recovery. A frame with `len = 0` is a
 //! tombstone: [`Spool::remove`] appends one. The header has no checksum
-//! of its own; the record's checksum guards it, and a frame whose header
-//! names another job than its record is rejected.
+//! of its own; the container's checksum and the length rule guard it,
+//! and a frame whose header names another job than its record is
+//! rejected.
 //!
 //! ## Recovery
 //!
 //! [`Spool::load_all`] makes one streaming pass over the segments in
-//! order, reading frame by frame (never a whole segment). A job's last
-//! valid frame wins and a tombstone removes it. The same pass builds the
+//! order, reading frame by frame (never a whole segment). A frame is
+//! valid when its container checks, the engine snapshot's stored
+//! checksum equals the container's copy, and the engine snapshot then
+//! decodes (verifying its checksum). A job's last valid frame wins and a
+//! tombstone removes it. The same pass builds the
 //! in-memory append index (job → segment, offset, length). After a scan,
 //! appends go to a fresh segment, never after a possibly torn tail; it is
 //! created at the first append, so a scan alone creates or modifies no
@@ -40,9 +54,11 @@
 //! * **Torn tail** (a crash mid-append): a frame running past the end of
 //!   its segment with no frame after it. It is ignored and not reported;
 //!   the job's previous frame wins.
-//! * **Corrupt frame** (bad magic, bad checksum, a header naming another
-//!   job): reported in [`SpoolScan::skipped`] unless a later valid frame
-//!   of the same job supersedes it, in which case it is dropped silently.
+//! * **Corrupt frame** (bad magic, a bad checksum in the container or the
+//!   engine snapshot, a length that disagrees with the record, a header
+//!   naming another job): reported in [`SpoolScan::skipped`] unless a
+//!   later valid frame of the same job supersedes it, in which case it is
+//!   dropped silently.
 //!   The reader resynchronises on the next frame magic, so the frames
 //!   after it are still read.
 //! * **Crash mid-compaction**: segment `n + 1` holds only copies of
@@ -50,8 +66,10 @@
 //!   partial `n + 1` beside them recovers the same records. Deleting the
 //!   old segments oldest first never leaves a removed job's frames
 //!   without the tombstone that removes them.
-//! * **Old layout**: a leftover one-file-per-job `<id>.pgaj` record is
-//!   not migrated; it is reported in `skipped`.
+//! * **Old layouts**: a leftover one-file-per-job `<id>.pgaj` record is
+//!   not migrated; it is reported in `skipped`. Neither is a frame of an
+//!   earlier spool version: its PGAS version-1 container is a bad header,
+//!   so the frame is corrupt and reported in `skipped`.
 //!
 //! Records survive a process crash. There is no fsync, so a power loss
 //! may lose the newest records of a job (its previous slice is then
@@ -82,10 +100,10 @@ use crate::protocol::JobSpec;
 
 /// Container tag for spool records (distinct from every engine tag).
 const SPOOL_TAG: &str = "serve-job";
-/// Spool record format version. Version 2 added the retry counter and
-/// the `Poisoned` state tag; version-1 records still decode (with
-/// `retries = 0`).
-const SPOOL_VERSION: u8 = 2;
+/// Spool record format version. Version 3 moved the engine snapshot out
+/// of the record container, behind it in the frame; every earlier version
+/// sits in a PGAS version-1 container, which no longer decodes.
+const SPOOL_VERSION: u8 = 3;
 /// Magic opening every frame.
 const FRAME_MAGIC: [u8; 4] = *b"PGJF";
 /// Frame header length: magic, job id, record length.
@@ -138,6 +156,19 @@ pub struct SpoolScan {
     pub records: Vec<JobRecord>,
     /// Frames and files that did not load (corrupt, foreign, old
     /// layout) and were not superseded by a later valid frame.
+    pub skipped: Vec<SpoolCorruption>,
+}
+
+/// A record with its engine snapshot bytes as read: they equal
+/// `Snapshot::to_bytes` of its `engine_snapshot`, so a resume checkpoint
+/// reuses them instead of encoding the snapshot again.
+pub(crate) type Recovered = (JobRecord, Option<Arc<[u8]>>);
+
+/// A scan that also keeps each record's engine snapshot bytes.
+pub(crate) struct Loaded {
+    /// Each job's latest valid record, ordered by id.
+    pub records: Vec<Recovered>,
+    /// As in [`SpoolScan::skipped`].
     pub skipped: Vec<SpoolCorruption>,
 }
 
@@ -283,6 +314,15 @@ impl Spool {
     /// frames and files are reported in [`SpoolScan::skipped`] (see the
     /// module docs), never fatal. Creates and modifies no file.
     pub fn load_all(&self) -> io::Result<SpoolScan> {
+        let loaded = self.load()?;
+        Ok(SpoolScan {
+            records: loaded.records.into_iter().map(|(r, _)| r).collect(),
+            skipped: loaded.skipped,
+        })
+    }
+
+    /// [`Spool::load_all`], keeping each record's engine snapshot bytes.
+    pub(crate) fn load(&self) -> io::Result<Loaded> {
         let mut log = lock(&self.log);
         self.scan(&mut log, self.chaos.as_deref())
     }
@@ -296,7 +336,7 @@ impl Spool {
         Ok(())
     }
 
-    fn scan(&self, log: &mut Log, chaos: Option<&ChaosInjector>) -> io::Result<SpoolScan> {
+    fn scan(&self, log: &mut Log, chaos: Option<&ChaosInjector>) -> io::Result<Loaded> {
         let mut recovery = Recovery::default();
         let mut segments = BTreeMap::new();
         for entry in fs::read_dir(&self.dir)? {
@@ -343,16 +383,16 @@ impl Spool {
             ..Log::default()
         };
         let mut records = Vec::with_capacity(recovery.live.len());
-        for (id, (record, loc)) in recovery.live {
+        for (id, (recovered, loc)) in recovery.live {
             log.set(id, Some(loc));
-            records.push(record);
+            records.push(recovered);
         }
-        records.sort_by_key(|r| r.id);
+        records.sort_by_key(|(r, _)| r.id);
         let mut failed: Vec<(JobId, SpoolCorruption)> = recovery.failed.into_iter().collect();
         failed.sort_by_key(|(id, _)| *id);
         let mut skipped = recovery.unkeyed;
         skipped.extend(failed.into_iter().map(|(_, c)| c));
-        Ok(SpoolScan { records, skipped })
+        Ok(Loaded { records, skipped })
     }
 
     /// Appends `frame` to the active segment (creating a fresh one if
@@ -476,8 +516,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What one recovery pass has found so far.
 #[derive(Default)]
 struct Recovery {
-    /// Each live job's latest valid record, and where its frame lives.
-    live: HashMap<JobId, (JobRecord, FrameLoc)>,
+    /// Each live job's latest valid record, its engine snapshot bytes,
+    /// and where its frame lives.
+    live: HashMap<JobId, (Recovered, FrameLoc)>,
     /// Each job's latest failed frame not (yet) superseded.
     failed: HashMap<JobId, SpoolCorruption>,
     /// Damage no job can supersede (bad magic, unreadable files).
@@ -537,18 +578,20 @@ fn scan_segment(
                 continue;
             }
             match decode(&record) {
-                Ok(decoded) if decoded.id == id => {
+                Ok((decoded, nested)) if decoded.id == id => {
                     let loc = FrameLoc {
                         segment: n,
                         offset: pos,
                         len: end - pos,
                     };
-                    recovery.live.insert(id, (decoded, loc));
+                    recovery
+                        .live
+                        .insert(id, ((decoded, nested.map(Arc::from)), loc));
                     recovery.failed.remove(&id);
                     pos = end;
                     continue;
                 }
-                Ok(decoded) => Some(format!("header names {id}, record holds {}", decoded.id)),
+                Ok((decoded, _)) => Some(format!("header names {id}, record holds {}", decoded.id)),
                 Err(message) => Some(message),
             }
         };
@@ -600,28 +643,48 @@ fn resync(reader: &mut BufReader<File>, from: u64, len: u64) -> io::Result<Optio
     Ok(None)
 }
 
-/// Encodes `record`'s frame: header, then the record with `nested` (an
-/// engine snapshot's `to_bytes`) as its engine snapshot;
-/// `record.engine_snapshot` is ignored. The record bytes equal those of
-/// the record carrying the decoded snapshot, so callers holding the
-/// encoded form never re-encode it.
+/// Encodes `record`'s frame: header, record container, then `nested`
+/// (an engine snapshot's `to_bytes`) as its engine snapshot;
+/// `record.engine_snapshot` is ignored. The frame equals that of the
+/// record carrying the decoded snapshot, so callers holding the encoded
+/// form never re-encode it. Only the container is checksummed here:
+/// `nested` carries its own sum.
 fn encode_frame(record: &JobRecord, nested: Option<&[u8]>) -> io::Result<Vec<u8>> {
+    let nested_sum = nested
+        .map(|bytes| {
+            let sum = stored_checksum(bytes).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "engine snapshot is shorter than its checksum",
+                )
+            })?;
+            Ok::<_, io::Error>((bytes.len(), sum))
+        })
+        .transpose()?;
     let spec = record.spec.to_json_string();
     let message = match &record.state {
         JobState::Failed(m) | JobState::Poisoned(m) => m.len(),
         _ => 0,
     };
-    // Room for the whole frame up front: growing would copy the payload.
+    // Room for the whole frame up front: growing would copy the snapshot.
     let capacity = HEADER_LEN + 256 + spec.len() + message + nested.map_or(0, <[u8]>::len);
     let mut header = Vec::with_capacity(capacity);
     header.extend_from_slice(&FRAME_MAGIC);
     header.extend_from_slice(&record.id.0.to_le_bytes());
     header.extend_from_slice(&[0; 4]);
     let mut frame = Snapshot::encode_after(header, SPOOL_TAG, |w| {
-        put_record(w, record, &spec, nested);
+        put_record(w, record, &spec, nested_sum);
     });
+    frame.extend_from_slice(nested.unwrap_or_default());
     set_frame_len(&mut frame)?;
     Ok(frame)
+}
+
+/// The checksum a serialized snapshot stores in its last 8 bytes.
+fn stored_checksum(snapshot: &[u8]) -> Option<u64> {
+    snapshot
+        .last_chunk::<8>()
+        .map(|sum| u64::from_le_bytes(*sum))
 }
 
 /// Writes the record's length into its frame header.
@@ -632,7 +695,14 @@ fn set_frame_len(frame: &mut [u8]) -> io::Result<()> {
     Ok(())
 }
 
-fn put_record(w: &mut SnapshotWriter, record: &JobRecord, spec: &str, nested: Option<&[u8]>) {
+/// Writes the container payload; `nested` is the engine snapshot's length
+/// and stored checksum.
+fn put_record(
+    w: &mut SnapshotWriter,
+    record: &JobRecord,
+    spec: &str,
+    nested: Option<(usize, u64)>,
+) {
     w.put_u8(SPOOL_VERSION);
     w.put_u64(record.id.0);
     w.put_str(spec);
@@ -662,22 +732,26 @@ fn put_record(w: &mut SnapshotWriter, record: &JobRecord, spec: &str, nested: Op
     w.put_f64(record.progress.best_fitness);
     w.put_bool(record.progress.best_is_optimal);
     match nested {
-        Some(bytes) => {
+        Some((len, sum)) => {
             w.put_bool(true);
-            w.put_bytes(bytes);
+            w.put_usize(len);
+            w.put_u64(sum);
         }
         None => w.put_bool(false),
     }
 }
 
-fn decode(bytes: &[u8]) -> Result<JobRecord, String> {
-    let container = Snapshot::from_bytes(bytes).map_err(|e| format!("bad container: {e:?}"))?;
+/// Decodes a frame's record (everything after the frame header) into the
+/// job record and its engine snapshot's bytes.
+fn decode(bytes: &[u8]) -> Result<(JobRecord, Option<&[u8]>), String> {
+    let (container, nested) =
+        Snapshot::from_prefix(bytes).map_err(|e| format!("bad container: {e:?}"))?;
     let mut r = container
         .reader_for(SPOOL_TAG)
         .map_err(|e| format!("not a spool record: {e:?}"))?;
     let fail = |what: &'static str| move |e| format!("bad {what}: {e:?}");
     let version = r.take_u8().map_err(fail("version"))?;
-    if version == 0 || version > SPOOL_VERSION {
+    if version != SPOOL_VERSION {
         return Err(format!("unsupported spool version {version}"));
     }
     let id = JobId(r.take_u64().map_err(fail("id"))?);
@@ -695,31 +769,46 @@ fn decode(bytes: &[u8]) -> Result<JobRecord, String> {
         }
         3 => JobState::Cancelled,
         4 => JobState::Failed(r.take_str().map_err(fail("error message"))?),
-        5 if version >= 2 => JobState::Poisoned(r.take_str().map_err(fail("error message"))?),
+        5 => JobState::Poisoned(r.take_str().map_err(fail("error message"))?),
         other => return Err(format!("unknown state tag {other}")),
     };
     let slices = r.take_u64().map_err(fail("slices"))?;
     let steps = r.take_u64().map_err(fail("steps"))?;
     let consumed = Duration::from_micros(r.take_u64().map_err(fail("consumed"))?);
-    let retries = if version >= 2 {
-        r.take_u64().map_err(fail("retries"))?
-    } else {
-        0
-    };
+    let retries = r.take_u64().map_err(fail("retries"))?;
     let progress = JobProgress {
         generations: r.take_u64().map_err(fail("generations"))?,
         evaluations: r.take_u64().map_err(fail("evaluations"))?,
         best_fitness: r.take_f64().map_err(fail("best fitness"))?,
         best_is_optimal: r.take_bool().map_err(fail("optimal flag"))?,
     };
-    let engine_snapshot = if r.take_bool().map_err(fail("snapshot flag"))? {
-        let nested = r.take_bytes().map_err(fail("engine snapshot"))?;
-        Some(Snapshot::from_bytes(nested).map_err(|e| format!("bad engine snapshot: {e:?}"))?)
+    let nested_sum = if r.take_bool().map_err(fail("snapshot flag"))? {
+        let len = r.take_usize().map_err(fail("engine snapshot length"))?;
+        let sum = r.take_u64().map_err(fail("engine snapshot checksum"))?;
+        Some((len, sum))
     } else {
         None
     };
     r.finish().map_err(|e| format!("trailing bytes: {e:?}"))?;
-    Ok(JobRecord {
+    let (nested, engine_snapshot) = match nested_sum {
+        Some((len, sum)) => {
+            if nested.len() != len {
+                return Err(format!(
+                    "frame holds {} engine snapshot bytes, record says {len}",
+                    nested.len()
+                ));
+            }
+            if stored_checksum(nested) != Some(sum) {
+                return Err("engine snapshot checksum differs from the record's copy".into());
+            }
+            let snapshot =
+                Snapshot::from_bytes(nested).map_err(|e| format!("bad engine snapshot: {e:?}"))?;
+            (Some(nested), Some(snapshot))
+        }
+        None if nested.is_empty() => (None, None),
+        None => return Err(format!("{} bytes after the record", nested.len())),
+    };
+    let record = JobRecord {
         id,
         spec,
         state,
@@ -729,7 +818,8 @@ fn decode(bytes: &[u8]) -> Result<JobRecord, String> {
         retries,
         progress,
         engine_snapshot,
-    })
+    };
+    Ok((record, nested))
 }
 
 #[cfg(test)]
@@ -856,9 +946,11 @@ mod tests {
             engine_snapshot: Some(snapshot.clone()),
             ..bare.clone()
         };
-        // The version-2 layout, field by field.
+        let nested = snapshot.to_bytes();
+        // The version-3 container, field by field: the engine snapshot's
+        // length and stored checksum stand in for its bytes.
         let mut w = SnapshotWriter::new();
-        w.put_u8(2);
+        w.put_u8(3);
         w.put_u64(5);
         w.put_str(&bare.spec.to_json_string());
         w.put_u8(5);
@@ -869,17 +961,49 @@ mod tests {
         w.put_f64(21.0);
         w.put_bool(false);
         w.put_bool(true);
-        w.put_bytes(&snapshot.to_bytes());
-        let expected = Snapshot::new(SPOOL_TAG, w.into_bytes()).to_bytes();
-        // The frame: magic, job id, record length, then the record.
-        let mut header = b"PGJF".to_vec();
-        header.extend_from_slice(&5u64.to_le_bytes());
-        header.extend_from_slice(&(expected.len() as u32).to_le_bytes());
-        let prepared = encode_frame(&bare, Some(&snapshot.to_bytes())).unwrap();
-        assert_eq!(prepared[..HEADER_LEN], header[..]);
-        assert_eq!(prepared[HEADER_LEN..], expected[..]);
+        w.put_u64(nested.len() as u64);
+        w.put_u64(u64::from_le_bytes(
+            nested[nested.len() - 8..].try_into().unwrap(),
+        ));
+        let container = Snapshot::new(SPOOL_TAG, w.into_bytes()).to_bytes();
+        // The frame: magic, job id, record length, the container, then
+        // the engine snapshot's bytes as they are.
+        let mut expected = b"PGJF".to_vec();
+        expected.extend_from_slice(&5u64.to_le_bytes());
+        expected.extend_from_slice(&((container.len() + nested.len()) as u32).to_le_bytes());
+        expected.extend_from_slice(&container);
+        expected.extend_from_slice(&nested);
+        let prepared = encode_frame(&bare, Some(&nested)).unwrap();
+        assert_eq!(prepared, expected);
         assert_eq!(frame(&carrying), prepared);
-        assert_eq!(decode(&expected).unwrap(), carrying);
+        let (decoded, bytes) = decode(&expected[HEADER_LEN..]).unwrap();
+        assert_eq!(decoded, carrying);
+        assert_eq!(bytes, Some(&nested[..]));
+        // A record without an engine snapshot is its container alone.
+        assert_eq!(decode(&frame(&bare)[HEADER_LEN..]).unwrap(), (bare, None));
+    }
+
+    #[test]
+    fn a_frame_length_other_than_container_plus_snapshot_is_corrupt() {
+        let r = record(4, JobState::Running);
+        let whole = frame(&r);
+        let body = &whole[HEADER_LEN..];
+        assert_eq!(decode(body).unwrap().0, r);
+        // Short by one byte, or one byte (of any value) too long.
+        assert!(decode(&body[..body.len() - 1]).is_err());
+        for extra in [0u8, 0xff] {
+            let mut longer = body.to_vec();
+            longer.push(extra);
+            assert!(decode(&longer).is_err(), "extra byte {extra}");
+        }
+        // A valid engine snapshot of the same length, but not the one the
+        // container names, is caught by the container's copy of its sum.
+        let other = Snapshot::new("ga", vec![1, 2, 3, 5]).to_bytes();
+        let mut swapped = body.to_vec();
+        let at = swapped.len() - other.len();
+        swapped[at..].copy_from_slice(&other);
+        let err = decode(&swapped).unwrap_err();
+        assert!(err.contains("differs from the record's copy"), "{err}");
     }
 
     #[test]
@@ -1090,29 +1214,5 @@ mod tests {
         assert_eq!(scan.skipped.len(), 1);
         assert!(scan.skipped[0].message.contains("chaos"));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version_one_records_decode_with_zero_retries() {
-        // Hand-roll a version-1 record: same layout, no retries field.
-        let r1 = record(3, JobState::Running);
-        let mut w = SnapshotWriter::new();
-        w.put_u8(1);
-        w.put_u64(r1.id.0);
-        w.put_str(&r1.spec.to_json_string());
-        w.put_u8(1);
-        w.put_u64(r1.slices);
-        w.put_u64(r1.steps);
-        w.put_u64(r1.consumed.as_micros() as u64);
-        w.put_u64(r1.progress.generations);
-        w.put_u64(r1.progress.evaluations);
-        w.put_f64(r1.progress.best_fitness);
-        w.put_bool(r1.progress.best_is_optimal);
-        w.put_bool(false);
-        let bytes = Snapshot::new(SPOOL_TAG, w.into_bytes()).to_bytes();
-        let decoded = decode(&bytes).unwrap();
-        assert_eq!(decoded.retries, 0);
-        assert_eq!(decoded.id, JobId(3));
-        assert_eq!(decoded.state, JobState::Running);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Two layers are attacked: the JSON codec in `protocol` (truncated
 //! records, absurd nesting and lengths — every case must come back as a
-//! typed error, never a panic or a stack overflow), and the HTTP front
-//! end (invalid UTF-8 bodies, oversized `Content-Length` rejected `413`
-//! before the body is read, the health/readiness/drain surface).
+//! typed error, never a panic or a stack overflow), the HTTP front end
+//! (invalid UTF-8 bodies, oversized `Content-Length` rejected `413`
+//! before the body is read, the health/readiness/drain surface), and the
+//! spool (frames of an older format are reported, never fatal).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -12,8 +13,11 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use pga_core::snapshot::SnapshotWriter;
 use pga_serve::protocol::Json;
-use pga_serve::{Budget, EngineSpec, JobSpec, ProblemSpec, Serve, ServeBuilder};
+use pga_serve::{
+    build_engine, Budget, EngineSpec, JobSpec, ProblemSpec, Serve, ServeBuilder, Spool,
+};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -246,6 +250,99 @@ fn health_ready_and_drain_surface() {
     // Wrong methods on the new routes are 405, not 404.
     assert_eq!(request(addr, "POST", "/healthz", b"").code, 405);
     assert_eq!(request(addr, "GET", "/drain", b"").code, 405);
+    serve.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Spool layer
+// ---------------------------------------------------------------------
+
+/// `payload` serialized in the PGAS version-1 layout: the current layout
+/// with version byte 1 and a bytewise 64-bit FNV-1a trailer.
+fn pgas_v1(tag: &str, payload: &[u8]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    for b in *b"PGAS" {
+        w.put_u8(b);
+    }
+    w.put_u8(1);
+    w.put_str(tag);
+    w.put_bytes(payload);
+    let mut bytes = w.into_bytes();
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in &bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    bytes.extend_from_slice(&h.to_le_bytes());
+    bytes
+}
+
+/// Job `id`'s frame as spool version 2 wrote it: a queued record in a
+/// PGAS version-1 container that embeds the engine's version-1 snapshot.
+fn old_layout_frame(id: u64, spec: &JobSpec) -> Vec<u8> {
+    let snapshot = build_engine(spec, None).expect("spec builds").snapshot();
+    let mut w = SnapshotWriter::new();
+    w.put_u8(2);
+    w.put_u64(id);
+    w.put_str(&spec.to_json_string());
+    w.put_u8(0);
+    // slices, steps, consumed, retries, generations, evaluations
+    for _ in 0..6 {
+        w.put_u64(0);
+    }
+    w.put_f64(0.0);
+    w.put_bool(false);
+    w.put_bool(true);
+    w.put_bytes(&pgas_v1(snapshot.engine_tag(), snapshot.payload()));
+    let container = pgas_v1("serve-job", &w.into_bytes());
+    let mut frame = b"PGJF".to_vec();
+    frame.extend_from_slice(&id.to_le_bytes());
+    frame.extend_from_slice(&(container.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&container);
+    frame
+}
+
+#[test]
+fn frames_of_an_older_spool_version_are_skipped_per_job_and_the_server_gets_ready() {
+    let dir = temp_dir("old-frames");
+    std::fs::create_dir_all(&dir).expect("spool dir");
+    let engines = [
+        EngineSpec::ga(16, 1),
+        EngineSpec::island(3, 8),
+        EngineSpec::cga(31),
+    ];
+    let mut segment = Vec::new();
+    for (id, engine) in (1..).zip(engines) {
+        let spec = JobSpec {
+            tenant: "old".into(),
+            problem: ProblemSpec::onemax(32),
+            engine,
+            seed: id,
+            budget: Budget {
+                generations: Some(10),
+                ..Budget::default()
+            },
+        };
+        segment.extend(old_layout_frame(id, &spec));
+    }
+    std::fs::write(dir.join("spool-0"), &segment).expect("segment written");
+
+    let scan = Spool::open(&dir)
+        .expect("spool opens")
+        .load_all()
+        .expect("scan never fails on bad frames");
+    assert!(scan.records.is_empty());
+    assert_eq!(scan.skipped.len(), 3, "one report per job");
+    for skipped in &scan.skipped {
+        assert!(skipped.message.contains("BadHeader"), "{}", skipped.message);
+    }
+
+    let (serve, addr) = start(&dir, 1 << 20);
+    let report = serve.recover_report();
+    assert_eq!((report.resumed, report.skipped), (0, 3));
+    let ready = request(addr, "GET", "/readyz", b"");
+    assert_eq!(ready.code, 200);
+    assert!(ready.body.contains("\"ready\":true"));
     serve.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -336,7 +336,8 @@ fn async_steady_rejects_wrong_engine_and_mismatched_cluster() {
 fn corrupted_snapshot_bytes_are_rejected() {
     let ga = onemax_ga(1);
     let mut bytes = ga.snapshot().to_bytes();
-    // Flip one payload bit; the FNV checksum must catch it.
+    // Flip one payload bit; the word checksum catches every single-byte
+    // change.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     assert_eq!(
