@@ -154,9 +154,9 @@ fn efficacy_row(
                     )
                     .expect("bounded");
                 (
-                    cga.best_ever().fitness(),
-                    cga.evaluations(),
-                    problem.is_optimal(cga.best_ever().fitness()),
+                    cga.ledger().best_ever().fitness(),
+                    cga.ledger().evaluations(),
+                    problem.is_optimal(cga.ledger().best_ever().fitness()),
                     t0.elapsed(),
                 )
             }

@@ -102,7 +102,7 @@ fn island_run(
         .iter()
         .zip(&alive)
         .filter(|&(_, &a)| a)
-        .map(|(isl, _)| isl.best_ever().fitness())
+        .map(|(isl, _)| isl.ledger().best_ever().fitness())
         .fold(f64::NEG_INFINITY, f64::max);
     let dead = alive.iter().filter(|&&a| !a).count();
     (best, clock, dead)

@@ -44,12 +44,14 @@ fn main() {
         // irrelevant here, so filter them at the source.
         let ring = RingRecorder::new(1 << 16);
         for island in &mut islands {
-            island.set_recorder(FilteredRecorder::new(ring.clone(), |e| {
-                matches!(
-                    e.kind,
-                    EventKind::GenerationCompleted { .. } | EventKind::MigrationReceived { .. }
-                )
-            }));
+            island
+                .ledger_mut()
+                .set_recorder(FilteredRecorder::new(ring.clone(), |e| {
+                    matches!(
+                        e.kind,
+                        EventKind::GenerationCompleted { .. } | EventKind::MigrationReceived { .. }
+                    )
+                }));
         }
         let mut arch = Archipelago::new(
             islands,

@@ -126,7 +126,7 @@ fn registration() {
                     vec![Individual::evaluated(seedling, fitness)],
                     pga_core::ops::ReplacementPolicy::Worst,
                 );
-                let before = ga2.evaluations();
+                let before = ga2.ledger().evaluations();
                 let r2 = ga2
                     .run(&Termination::new().max_evaluations(before + budget_full / 3))
                     .expect("bounded");

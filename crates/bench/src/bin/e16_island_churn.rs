@@ -72,7 +72,7 @@ fn run(problem: &Arc<SubsetSum>, mode: ChurnMode, seed: u64) -> (bool, u64, f64)
         // Track the global best (departed islands' discoveries count only
         // while they were alive, like DREAM's collector).
         for slot in slots.iter().flatten() {
-            best_ever = best_ever.min(slot.best_ever().fitness());
+            best_ever = best_ever.min(slot.ledger().best_ever().fitness());
         }
         if best_ever <= 0.0 {
             break; // exact subset found
@@ -110,7 +110,7 @@ fn run(problem: &Arc<SubsetSum>, mode: ChurnMode, seed: u64) -> (bool, u64, f64)
             if occupied.len() > 1 {
                 let leave = *churn_rng.choose(&occupied);
                 if let Some(ga) = slots[leave].take() {
-                    evaluations_of_departed += ga.evaluations();
+                    evaluations_of_departed += ga.ledger().evaluations();
                 }
                 if mode == ChurnMode::Replace {
                     slots[leave] = Some(standard_binary_ga(
@@ -125,8 +125,12 @@ fn run(problem: &Arc<SubsetSum>, mode: ChurnMode, seed: u64) -> (bool, u64, f64)
         }
     }
 
-    let evaluations: u64 =
-        evaluations_of_departed + slots.iter().flatten().map(Ga::evaluations).sum::<u64>();
+    let evaluations: u64 = evaluations_of_departed
+        + slots
+            .iter()
+            .flatten()
+            .map(|g| g.ledger().evaluations())
+            .sum::<u64>();
     (best_ever <= 0.0, evaluations, best_ever)
 }
 

@@ -121,7 +121,7 @@ fn run_sequential_churn(
         for (i, slot) in slots.iter_mut().enumerate() {
             if plan.island(i).panic_at_generation == Some(gen) {
                 if let Some(ga) = slot.take() {
-                    evaluations_of_departed += ga.evaluations();
+                    evaluations_of_departed += ga.ledger().evaluations();
                 }
             }
         }
@@ -129,7 +129,7 @@ fn run_sequential_churn(
             slot.step();
         }
         for slot in slots.iter().flatten() {
-            best_ever = best_ever.min(slot.best_ever().fitness());
+            best_ever = best_ever.min(slot.ledger().best_ever().fitness());
         }
         if best_ever <= 0.0 {
             break;
@@ -161,8 +161,12 @@ fn run_sequential_churn(
             }
         }
     }
-    let evaluations =
-        evaluations_of_departed + slots.iter().flatten().map(Ga::evaluations).sum::<u64>();
+    let evaluations = evaluations_of_departed
+        + slots
+            .iter()
+            .flatten()
+            .map(|g| g.ledger().evaluations())
+            .sum::<u64>();
     pga_analysis::RunOutcome {
         best_fitness: best_ever,
         evaluations,

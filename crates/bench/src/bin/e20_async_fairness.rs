@@ -158,7 +158,7 @@ fn run_virtual(workers: usize, seed: u64, budget_s: f64) -> VirtualRow {
     while sim.sim_seconds() < budget_s {
         sync_best = sim.step().best_ever;
     }
-    let sync_rate = (sim.ga().evaluations() - POP as u64) as f64 / sim.sim_seconds();
+    let sync_rate = (sim.ga().ledger().evaluations() - POP as u64) as f64 / sim.sim_seconds();
 
     // Asynchronous: same ops, same cluster, same fixed task cost — only
     // the barrier is gone.
@@ -179,7 +179,7 @@ fn run_virtual(workers: usize, seed: u64, budget_s: f64) -> VirtualRow {
         async_best = async_ga.step().best_ever;
     }
     let clock = async_ga.virtual_clock().expect("virtual backend");
-    let async_rate = (async_ga.evaluations() - POP as u64) as f64 / clock;
+    let async_rate = (async_ga.ledger().evaluations() - POP as u64) as f64 / clock;
 
     VirtualRow {
         workers,

@@ -60,10 +60,10 @@ where
         .scheme(Scheme::Generational { elitism: 1 })
         .build()
         .expect("valid configuration");
-    while ga.evaluations() < budget {
+    while ga.ledger().evaluations() < budget {
         ga.step();
     }
-    ga.best_ever().fitness()
+    ga.ledger().best_ever().fitness()
 }
 
 /// Serial cGA best fitness after (at least) `budget` evaluations.
@@ -76,10 +76,10 @@ where
         .virtual_pop(127)
         .build()
         .expect("valid configuration");
-    while cga.evaluations() < budget && !cga.halted() {
+    while cga.ledger().evaluations() < budget && !cga.halted() {
         cga.step();
     }
-    cga.best_ever().fitness()
+    cga.ledger().best_ever().fitness()
 }
 
 fn parity_row<P>(
@@ -123,17 +123,17 @@ fn scale_row(nodes: usize, genome: usize, seed: u64, budget: u64, ga_baseline: f
         .seed(seed)
         .build()
         .expect("valid configuration");
-    while pcga.evaluations() < budget && !pcga.halted() {
+    while pcga.ledger().evaluations() < budget && !pcga.halted() {
         pcga.step();
     }
-    let best = pcga.best_ever().fitness();
+    let best = pcga.ledger().best_ever().fitness();
     let wire = pcga.wire();
     ScaleRow {
         nodes,
         pcga_best: best,
         parity: best / ga_baseline,
         per_node_model_bytes: pcga.per_node_model_bytes(),
-        wire_bytes_per_gen: wire.bytes as f64 / pcga.generation().max(1) as f64,
+        wire_bytes_per_gen: wire.bytes as f64 / pcga.ledger().generation().max(1) as f64,
         virtual_s: pcga.elapsed_virtual(),
     }
 }

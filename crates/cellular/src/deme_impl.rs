@@ -8,37 +8,28 @@
 //! (`Random`/`RandomIfBetter`) or on the worst cell (`Worst`/
 //! `WorstIfBetter`); emigrants leave from the best cells, random cells, or
 //! tournament winners, exactly mirroring the panmictic semantics.
+//!
+//! The grid is stepped, checkpointed and restored as the [`Engine`]
+//! (`pga_core::Engine`) it already is; this impl adds migration only.
+//! An improving immigrant resets the grid's stagnation count, as it does
+//! in the panmictic GA.
+//!
+//! [`Engine`]: pga_core::Engine
 
 use crate::engine::CellularGa;
 use pga_core::ops::ReplacementPolicy;
-use pga_core::{Engine, Individual, Objective, Problem, Snapshot, SnapshotError, StepReport};
+use pga_core::{Individual, Objective, Problem};
 use pga_island::{Deme, EmigrantSelection};
 
 impl<P: Problem> Deme for CellularGa<P> {
     type Genome = P::Genome;
 
-    fn step_deme(&mut self) -> StepReport {
-        self.step()
-    }
-
     fn objective(&self) -> Objective {
         self.problem().objective()
     }
 
-    fn generation(&self) -> u64 {
-        CellularGa::generation(self)
-    }
-
-    fn evaluations(&self) -> u64 {
-        CellularGa::evaluations(self)
-    }
-
     fn best_individual(&self) -> Individual<P::Genome> {
-        self.best_ever().clone()
-    }
-
-    fn is_optimal(&self) -> bool {
-        self.problem().is_optimal(self.best_ever().fitness())
+        self.ledger().best_ever().clone()
     }
 
     fn emigrants(
@@ -97,9 +88,11 @@ impl<P: Problem> Deme for CellularGa<P> {
         let mut accepted = 0usize;
         for im in immigrants {
             debug_assert!(im.is_evaluated(), "immigrants must carry fitness");
-            self.note_best(&im);
+            self.ledger_mut().offer_immigrant(&im);
             let mut rng = self.rng_mut().clone();
             let target = match policy {
+                // The builder rejects empty grids, so the fallback is
+                // never taken.
                 ReplacementPolicy::Worst | ReplacementPolicy::WorstIfBetter => (0..n)
                     .max_by(|&a, &b| {
                         let fa = self.grid()[a].fitness();
@@ -110,7 +103,7 @@ impl<P: Problem> Deme for CellularGa<P> {
                             Objective::Minimize => fa.total_cmp(&fb),
                         }
                     })
-                    .expect("non-empty grid"),
+                    .unwrap_or(0),
                 ReplacementPolicy::Random | ReplacementPolicy::RandomIfBetter => rng.below(n),
             };
             *self.rng_mut() = rng;
@@ -128,27 +121,11 @@ impl<P: Problem> Deme for CellularGa<P> {
     }
 
     fn record_event(&mut self, event: &pga_observe::Event) {
-        CellularGa::record_event(self, event);
+        self.ledger_mut().record_event(event);
     }
 
     fn set_trace_island(&mut self, island: u32) {
-        CellularGa::set_trace_island(self, island);
-    }
-
-    fn record_run_started(&mut self) {
-        Engine::record_run_started(self);
-    }
-
-    fn record_run_finished(&mut self) {
-        Engine::record_run_finished(self);
-    }
-
-    fn snapshot_deme(&self) -> Snapshot {
-        Engine::snapshot(self)
-    }
-
-    fn restore_deme(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        Engine::restore(self, snapshot)
+        self.ledger_mut().set_trace_island(island);
     }
 }
 
@@ -157,10 +134,11 @@ mod tests {
     use super::*;
     use crate::update::UpdatePolicy;
     use pga_core::ops::{BitFlip, OnePoint, ReplacementPolicy, Tournament};
-    use pga_core::{BitString, GaBuilder, Rng64, Scheme, Termination};
+    use pga_core::{BitString, Engine, GaBuilder, Rng64, Scheme, Termination};
     use pga_island::{Archipelago, MigrationPolicy};
     use pga_topology::Topology;
     use std::sync::Arc;
+    use std::time::Duration;
 
     struct OneMax(usize);
     impl Problem for OneMax {
@@ -204,7 +182,26 @@ mod tests {
         let accepted = deme.immigrate(vec![perfect], ReplacementPolicy::WorstIfBetter);
         assert_eq!(accepted, 1);
         assert_eq!(deme.best_individual().fitness(), 32.0);
-        assert!(Deme::is_optimal(&deme));
+        assert!(deme.progress(Duration::ZERO).best_is_optimal);
+    }
+
+    #[test]
+    fn improving_immigrant_resets_stagnation() {
+        let mut deme = cell_island(3);
+        let stalled = (0..200).find_map(|_| {
+            deme.step();
+            let progress = deme.progress(Duration::ZERO);
+            (progress.stagnant_generations > 0 && !progress.best_is_optimal).then_some(progress)
+        });
+        assert!(
+            stalled.is_some(),
+            "the grid never stalled below the optimum"
+        );
+        let perfect = Individual::evaluated(BitString::ones(32), 32.0);
+        deme.immigrate(vec![perfect], ReplacementPolicy::WorstIfBetter);
+        let progress = deme.progress(Duration::ZERO);
+        assert!(progress.best_is_optimal);
+        assert_eq!(progress.stagnant_generations, 0);
     }
 
     #[test]

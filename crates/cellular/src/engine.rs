@@ -5,10 +5,10 @@ use pga_core::ops::{Crossover, Mutation};
 use pga_core::rng::splitmix64;
 use pga_core::termination::{Progress, Termination};
 use pga_core::{
-    ConfigError, Driver, Engine, Genome, Incumbent, Individual, Objective, Problem, Rng64,
-    RunOutcome, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StepReport,
+    ConfigError, Driver, Engine, Incumbent, Individual, Problem, Rng64, RunLedger, RunOutcome,
+    Snapshot, SnapshotError, SnapshotWriter, StepReport,
 };
-use pga_observe::{Event, EventKind, Recorder, Stopwatch};
+use pga_observe::{Recorder, Stopwatch};
 use pga_topology::CellNeighborhood;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -33,7 +33,6 @@ pub struct CellularGa<P: Problem> {
     crossover: Box<dyn Crossover<P::Genome>>,
     mutation: Box<dyn Mutation<P::Genome>>,
     crossover_rate: f64,
-    seed: u64,
     rng: Rng64,
     fixed_sweep: Vec<usize>,
     /// Reused across generations: the per-sweep cell-update order.
@@ -41,13 +40,7 @@ pub struct CellularGa<P: Problem> {
     /// Reused across generations: the synchronous path's offspring batch
     /// (one allocation for the lifetime of the engine, not one per sweep).
     offspring_buf: Vec<Individual<P::Genome>>,
-    generation: u64,
-    evaluations: u64,
-    best_ever: Individual<P::Genome>,
-    stagnant_generations: u64,
-    trace_island: u32,
-    optimum_traced: bool,
-    recorder: Option<Box<dyn Recorder>>,
+    ledger: RunLedger<P::Genome>,
 }
 
 impl<P: Problem> CellularGa<P> {
@@ -69,22 +62,16 @@ impl<P: Problem> CellularGa<P> {
         self.grid.is_empty()
     }
 
-    /// Generations executed.
+    /// Counters, best cell ever observed, and recorder.
     #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    pub fn ledger(&self) -> &RunLedger<P::Genome> {
+        &self.ledger
     }
 
-    /// Evaluations spent.
-    #[must_use]
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Best individual ever observed.
-    #[must_use]
-    pub fn best_ever(&self) -> &Individual<P::Genome> {
-        &self.best_ever
+    /// Mutable ledger access, to attach a recorder or set the island id
+    /// stamped on events.
+    pub fn ledger_mut(&mut self) -> &mut RunLedger<P::Genome> {
+        &mut self.ledger
     }
 
     /// The shared problem.
@@ -99,61 +86,16 @@ impl<P: Problem> CellularGa<P> {
         &self.grid
     }
 
-    /// Statistics of the current grid (without stepping).
-    #[must_use]
-    pub fn current_stats(&self) -> StepReport {
-        self.stats()
-    }
-
     pub(crate) fn rng_mut(&mut self) -> &mut Rng64 {
         &mut self.rng
-    }
-
-    /// Attaches an observability recorder (replacing any existing one).
-    /// Purely observational — the grid's RNG streams are untouched.
-    pub fn set_recorder(&mut self, recorder: impl Recorder + 'static) {
-        self.recorder = Some(Box::new(recorder));
-    }
-
-    /// Detaches and returns the recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// Island id stamped on this engine's events (0 unless a parallel
-    /// driver assigns one).
-    pub fn set_trace_island(&mut self, island: u32) {
-        self.trace_island = island;
-    }
-
-    /// Routes a driver-side event through this engine's recorder.
-    pub fn record_event(&mut self, event: &Event) {
-        if let Some(r) = &mut self.recorder {
-            r.record(event);
-        }
-    }
-
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(r) = &mut self.recorder {
-            r.record(&Event::new(kind));
-        }
     }
 
     pub(crate) fn grid_mut(&mut self) -> &mut Vec<Individual<P::Genome>> {
         &mut self.grid
     }
 
-    pub(crate) fn note_best(&mut self, candidate: &Individual<P::Genome>) {
-        if self
-            .problem
-            .objective()
-            .better(candidate.fitness(), self.best_ever.fitness())
-        {
-            self.best_ever = candidate.clone();
-        }
-    }
-
-    fn stats(&self) -> StepReport {
+    /// Best and mean fitness of the current grid.
+    fn grid_fitness(&self) -> (f64, f64) {
         let objective = self.problem.objective();
         let mut best = self.grid[0].fitness();
         let mut sum = 0.0;
@@ -164,13 +106,7 @@ impl<P: Problem> CellularGa<P> {
             }
             sum += f;
         }
-        StepReport {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            best,
-            mean: sum / self.grid.len() as f64,
-            best_ever: self.best_ever.fitness(),
-        }
+        (best, sum / self.grid.len() as f64)
     }
 
     /// Deterministic per-cell stream: independent of scheduling.
@@ -238,7 +174,7 @@ impl<P: Problem> Incumbent for CellularGa<P> {
     type Best = Individual<P::Genome>;
 
     fn best(&self) -> Self::Best {
-        self.best_ever.clone()
+        self.ledger.best_ever().clone()
     }
 }
 
@@ -252,9 +188,10 @@ impl<P: Problem> Engine for CellularGa<P> {
     /// One generation (`n` cell updates). Returns end-of-generation stats.
     fn step(&mut self) -> StepReport {
         let n = self.grid.len();
-        let sw = Stopwatch::started_if(self.recorder.is_some());
+        let sw = Stopwatch::started_if(self.ledger.is_recording());
         let objective = self.problem.objective();
-        let best_before = self.best_ever.fitness();
+        let (seed, generation) = (self.ledger.seed(), self.ledger.generation());
+        let mut improved = false;
         let order = {
             let mut rng = self.rng.clone();
             let mut o = std::mem::take(&mut self.order_buf);
@@ -266,7 +203,7 @@ impl<P: Problem> Engine for CellularGa<P> {
 
         if self.policy.is_asynchronous() {
             for (step_idx, &idx) in order.iter().enumerate() {
-                let mut rng = Self::cell_rng(self.seed, self.generation, step_idx);
+                let mut rng = Self::cell_rng(seed, generation, step_idx);
                 let child = Self::breed(
                     &self.problem,
                     &self.grid,
@@ -279,11 +216,9 @@ impl<P: Problem> Engine for CellularGa<P> {
                     self.crossover_rate,
                     &mut rng,
                 );
-                self.evaluations += 1;
+                self.ledger.count_evaluations(1);
                 if objective.better_or_equal(child.fitness(), self.grid[idx].fitness()) {
-                    if objective.better(child.fitness(), self.best_ever.fitness()) {
-                        self.best_ever = child.clone();
-                    }
+                    improved |= self.ledger.offer(&child.genome, child.fitness());
                     self.grid[idx] = child;
                 }
             }
@@ -298,7 +233,6 @@ impl<P: Problem> Engine for CellularGa<P> {
                 let crossover = self.crossover.as_ref();
                 let mutation = self.mutation.as_ref();
                 let rate = self.crossover_rate;
-                let (seed, generation) = (self.seed, self.generation);
                 let grid = &self.grid;
                 (0..n)
                     .into_par_iter()
@@ -319,12 +253,10 @@ impl<P: Problem> Engine for CellularGa<P> {
                     })
                     .collect_into_vec(&mut offspring);
             }
-            self.evaluations += n as u64;
+            self.ledger.count_evaluations(n as u64);
             for (idx, child) in offspring.drain(..).enumerate() {
                 if objective.better_or_equal(child.fitness(), self.grid[idx].fitness()) {
-                    if objective.better(child.fitness(), self.best_ever.fitness()) {
-                        self.best_ever = child.clone();
-                    }
+                    improved |= self.ledger.offer(&child.genome, child.fitness());
                     self.grid[idx] = child;
                 }
             }
@@ -332,90 +264,24 @@ impl<P: Problem> Engine for CellularGa<P> {
         }
         self.order_buf = order;
 
-        self.generation += 1;
-        if objective.better(self.best_ever.fitness(), best_before) {
-            self.stagnant_generations = 0;
-        } else {
-            self.stagnant_generations += 1;
-        }
-        let stats = self.stats();
-        if self.recorder.is_some() {
-            if let Some(micros) = sw.elapsed_micros() {
-                self.emit(EventKind::EvaluationBatch {
-                    island: self.trace_island,
-                    batch: stats.generation,
-                    size: n as u64,
-                    fresh: n as u64,
-                    micros,
-                });
-            }
-            self.emit(EventKind::GenerationCompleted {
-                island: self.trace_island,
-                generation: stats.generation,
-                evaluations: stats.evaluations,
-                best: stats.best,
-                mean: stats.mean,
-                best_ever: stats.best_ever,
-            });
-        }
-        // Tracked unconditionally so snapshot bytes do not depend on
-        // whether a recorder is attached; `emit` no-ops without one.
-        if !self.optimum_traced && self.problem.is_optimal(stats.best_ever) {
-            self.optimum_traced = true;
-            self.emit(EventKind::CheckpointHit {
-                island: self.trace_island,
-                generation: stats.generation,
-                best: stats.best_ever,
-            });
-        }
-        stats
+        let (best, mean) = self.grid_fitness();
+        self.ledger.record_batch(&sw, n, n as u64);
+        self.ledger
+            .close_generation(&*self.problem, improved, best, mean)
     }
 
     fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
+        self.ledger.progress(&*self.problem, elapsed)
     }
 
-    /// Emits `RunStarted` for an externally driven run (e.g. a cellular
-    /// deme stepped by an island driver).
     fn record_run_started(&mut self) {
-        if self.recorder.is_some() {
-            let engine = format!("cellular-{}", self.policy.name());
-            let problem = self.problem.name();
-            let seed = self.seed;
-            self.emit(EventKind::RunStarted {
-                island: self.trace_island,
-                engine,
-                problem,
-                seed,
-            });
-        }
+        let policy = self.policy.name();
+        self.ledger
+            .record_run_started(&*self.problem, || format!("cellular-{policy}"));
     }
 
-    /// Emits `RunFinished` and flushes the recorder; counterpart of
-    /// [`CellularGa::record_run_started`].
     fn record_run_finished(&mut self) {
-        if self.recorder.is_some() {
-            let hit_optimum = self.problem.is_optimal(self.best_ever.fitness());
-            self.emit(EventKind::RunFinished {
-                island: self.trace_island,
-                generations: self.generation,
-                evaluations: self.evaluations,
-                best: self.best_ever.fitness(),
-                hit_optimum,
-            });
-            if let Some(r) = &mut self.recorder {
-                r.flush();
-            }
-        }
+        self.ledger.record_run_finished(&*self.problem);
     }
 
     /// Captures the grid, RNG stream, and counters. The fixed sweep order
@@ -423,43 +289,19 @@ impl<P: Problem> Engine for CellularGa<P> {
     /// not part of the snapshot.
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.generation);
-        w.put_u64(self.evaluations);
-        w.put_u64(self.stagnant_generations);
-        w.put_bool(self.optimum_traced);
-        let (s, spare) = self.rng.snapshot_state();
-        for word in s {
-            w.put_u64(word);
-        }
-        w.put_opt_f64(spare);
-        self.best_ever.genome.encode(&mut w);
-        w.put_opt_f64(self.best_ever.fitness);
+        self.ledger.encode(&mut w);
+        w.put_rng(&self.rng);
         w.put_usize(self.grid.len());
         for cell in &self.grid {
-            cell.genome.encode(&mut w);
-            w.put_opt_f64(cell.fitness);
+            cell.encode(&mut w);
         }
         Snapshot::new("cellular", w.into_bytes())
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snapshot.reader_for("cellular")?;
-        let generation = r.take_u64()?;
-        let evaluations = r.take_u64()?;
-        let stagnant_generations = r.take_u64()?;
-        let optimum_traced = r.take_bool()?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.take_u64()?;
-        }
-        let spare = r.take_opt_f64()?;
-        let take_individual =
-            |r: &mut SnapshotReader<'_>| -> Result<Individual<P::Genome>, SnapshotError> {
-                let genome = P::Genome::decode(r)?;
-                let fitness = r.take_opt_f64()?;
-                Ok(Individual { genome, fitness })
-            };
-        let best_ever = take_individual(&mut r)?;
+        let ledger = RunLedger::decode(&mut r)?;
+        let rng = r.take_rng()?;
         let len = r.take_usize()?;
         if len != self.grid.len() {
             return Err(SnapshotError::Invalid(format!(
@@ -469,15 +311,11 @@ impl<P: Problem> Engine for CellularGa<P> {
         }
         let mut grid = Vec::with_capacity(len);
         for _ in 0..len {
-            grid.push(take_individual(&mut r)?);
+            grid.push(Individual::decode(&mut r)?);
         }
         r.finish()?;
-        self.generation = generation;
-        self.evaluations = evaluations;
-        self.stagnant_generations = stagnant_generations;
-        self.optimum_traced = optimum_traced;
-        self.rng = Rng64::from_snapshot_state(s, spare);
-        self.best_ever = best_ever;
+        self.ledger.restore(ledger);
+        self.rng = rng;
         self.grid = grid;
         Ok(())
     }
@@ -606,17 +444,21 @@ impl<P: Problem> CellularGaBuilder<P> {
         let mut fixed_sweep: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut fixed_sweep);
         let objective = self.problem.objective();
-        let best_ever = grid
-            .iter()
-            .reduce(|a, b| {
-                if objective.better(b.fitness(), a.fitness()) {
-                    b
-                } else {
-                    a
-                }
-            })
-            .expect("non-empty grid")
-            .clone();
+        // The first strictly better cell wins; `grid[0]` exists because
+        // both dimensions were checked non-zero above.
+        let mut best_ever = &grid[0];
+        for cell in &grid[1..] {
+            if objective.better(cell.fitness(), best_ever.fitness()) {
+                best_ever = cell;
+            }
+        }
+        let ledger = RunLedger::new(
+            &*self.problem,
+            self.seed,
+            n as u64,
+            best_ever.clone(),
+            self.recorder,
+        );
         Ok(CellularGa {
             problem: self.problem,
             grid,
@@ -627,18 +469,11 @@ impl<P: Problem> CellularGaBuilder<P> {
             crossover,
             mutation,
             crossover_rate: self.crossover_rate,
-            seed: self.seed,
             rng,
             fixed_sweep,
             order_buf: Vec::new(),
             offspring_buf: Vec::new(),
-            generation: 0,
-            evaluations: n as u64,
-            best_ever,
-            stagnant_generations: 0,
-            trace_island: 0,
-            optimum_traced: false,
-            recorder: self.recorder,
+            ledger,
         })
     }
 }
@@ -743,13 +578,13 @@ mod tests {
     #[test]
     fn evaluations_count_one_per_update() {
         let mut cga = cga(UpdatePolicy::Synchronous, 1);
-        assert_eq!(cga.evaluations(), 100); // initial grid
+        assert_eq!(cga.ledger().evaluations(), 100); // initial grid
         cga.step();
-        assert_eq!(cga.evaluations(), 200);
+        assert_eq!(cga.ledger().evaluations(), 200);
         let mut acga = cga_async();
-        assert_eq!(acga.evaluations(), 100);
+        assert_eq!(acga.ledger().evaluations(), 100);
         acga.step();
-        assert_eq!(acga.evaluations(), 200);
+        assert_eq!(acga.ledger().evaluations(), 200);
     }
 
     fn cga_async() -> CellularGa<OneMax> {
@@ -758,7 +593,7 @@ mod tests {
 
     #[test]
     fn recorder_observes_cellular_run() {
-        use pga_observe::RingRecorder;
+        use pga_observe::{EventKind, RingRecorder};
         let ring = RingRecorder::new(4096);
         let mut cga = CellularGa::builder(OneMax(32))
             .grid(8, 8)

@@ -6,13 +6,13 @@ use std::time::Duration;
 
 use pga_core::driver::{Driver, Engine, Incumbent, RunOutcome, StepReport};
 use pga_core::individual::Individual;
-use pga_core::problem::{Objective, Problem};
-use pga_core::repr::{BitString, Genome};
+use pga_core::problem::Problem;
+use pga_core::repr::BitString;
 use pga_core::rng::Rng64;
 use pga_core::snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 use pga_core::termination::{Progress, Termination};
-use pga_core::ConfigError;
-use pga_observe::{Event, EventKind, Recorder};
+use pga_core::{ConfigError, RunLedger};
+use pga_observe::Recorder;
 
 /// Samples one genome from a probability vector (one RNG draw per locus,
 /// so the draw count — and hence the stream — is a pure function of the
@@ -74,14 +74,7 @@ pub struct CompactGa<P: Problem<Genome = BitString>> {
     p: Vec<f64>,
     virtual_pop: usize,
     rng: Rng64,
-    seed: u64,
-    generation: u64,
-    evaluations: u64,
-    stagnant_generations: u64,
-    optimum_traced: bool,
-    best_ever: Individual<BitString>,
-    recorder: Option<Box<dyn Recorder>>,
-    trace_island: u32,
+    ledger: RunLedger<BitString>,
 }
 
 impl<P: Problem<Genome = BitString>> CompactGa<P> {
@@ -103,28 +96,17 @@ impl<P: Problem<Genome = BitString>> CompactGa<P> {
         self.virtual_pop
     }
 
-    /// Competitions completed.
+    /// Counters (a generation is one competition; evaluations are 2 per
+    /// competition + 1 at startup), best individual ever, and recorder.
     #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    pub fn ledger(&self) -> &RunLedger<BitString> {
+        &self.ledger
     }
 
-    /// Fitness evaluations spent (2 per competition + 1 at startup).
-    #[must_use]
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Best individual ever observed.
-    #[must_use]
-    pub fn best_ever(&self) -> &Individual<BitString> {
-        &self.best_ever
-    }
-
-    /// The seed the engine was built with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// Mutable ledger access, to attach a recorder or set the island id
+    /// stamped on events.
+    pub fn ledger_mut(&mut self) -> &mut RunLedger<BitString> {
+        &mut self.ledger
     }
 
     /// Model state size in bytes: the probability vector alone — the
@@ -138,58 +120,6 @@ impl<P: Problem<Genome = BitString>> CompactGa<P> {
     #[must_use]
     pub fn is_converged(&self) -> bool {
         converged(&self.p)
-    }
-
-    /// Attaches an observability recorder (replacing any existing one).
-    /// Recorders only observe: attaching or detaching one never changes
-    /// the RNG stream or the search trajectory.
-    pub fn set_recorder(&mut self, recorder: impl Recorder + 'static) {
-        self.recorder = Some(Box::new(recorder));
-    }
-
-    /// Detaches and returns the recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// `true` when a recorder is attached.
-    #[must_use]
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Island id stamped on this engine's events.
-    pub fn set_trace_island(&mut self, island: u32) {
-        self.trace_island = island;
-    }
-
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(r) = &mut self.recorder {
-            r.record(&Event::new(kind));
-        }
-    }
-
-    fn track_best(&mut self, genome: &BitString, fitness: f64) -> bool {
-        if self
-            .problem
-            .objective()
-            .better(fitness, self.best_ever.fitness())
-        {
-            self.best_ever = Individual::evaluated(genome.clone(), fitness);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn report(&self, best: f64, mean: f64) -> StepReport {
-        StepReport {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            best,
-            mean,
-            best_ever: self.best_ever.fitness(),
-        }
     }
 
     /// Runs until the termination rule fires via the shared [`Driver`].
@@ -206,7 +136,7 @@ impl<P: Problem<Genome = BitString>> Incumbent for CompactGa<P> {
     type Best = Individual<BitString>;
 
     fn best(&self) -> Self::Best {
-        self.best_ever.clone()
+        self.ledger.best_ever().clone()
     }
 }
 
@@ -222,7 +152,7 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
         let b = sample_genome(&self.p, &mut self.rng);
         let fa = self.problem.evaluate(&a);
         let fb = self.problem.evaluate(&b);
-        self.evaluations += 2;
+        self.ledger.count_evaluations(2);
         let (winner, loser, fw, fl) = if self.problem.objective().better(fb, fa) {
             (&b, &a, fb, fa)
         } else {
@@ -230,48 +160,13 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
         };
         let step = 1.0 / self.virtual_pop as f64;
         update_slice(&mut self.p, winner, loser, 0, step);
-        let improved = self.track_best(winner, fw);
-        if improved {
-            self.stagnant_generations = 0;
-        } else {
-            self.stagnant_generations += 1;
-        }
-        self.generation += 1;
-        let report = self.report(fw, 0.5 * (fw + fl));
-        if self.recorder.is_some() {
-            self.emit(EventKind::GenerationCompleted {
-                island: self.trace_island,
-                generation: report.generation,
-                evaluations: report.evaluations,
-                best: report.best,
-                mean: report.mean,
-                best_ever: report.best_ever,
-            });
-        }
-        // Tracked unconditionally so snapshot bytes do not depend on
-        // whether a recorder is attached; `emit` no-ops without one.
-        if !self.optimum_traced && self.problem.is_optimal(report.best_ever) {
-            self.optimum_traced = true;
-            self.emit(EventKind::CheckpointHit {
-                island: self.trace_island,
-                generation: report.generation,
-                best: report.best_ever,
-            });
-        }
-        report
+        let improved = self.ledger.offer(winner, fw);
+        self.ledger
+            .close_generation(&*self.problem, improved, fw, 0.5 * (fw + fl))
     }
 
     fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
+        self.ledger.progress(&*self.problem, elapsed)
     }
 
     fn halted(&self) -> bool {
@@ -279,47 +174,18 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
     }
 
     fn record_run_started(&mut self) {
-        if self.recorder.is_some() {
-            let problem = self.problem.name();
-            let seed = self.seed;
-            self.emit(EventKind::RunStarted {
-                island: self.trace_island,
-                engine: "cga".into(),
-                problem,
-                seed,
-            });
-        }
+        self.ledger
+            .record_run_started(&*self.problem, || "cga".into());
     }
 
     fn record_run_finished(&mut self) {
-        if self.recorder.is_some() {
-            let best = self.best_ever.fitness();
-            self.emit(EventKind::RunFinished {
-                island: self.trace_island,
-                generations: self.generation,
-                evaluations: self.evaluations,
-                best,
-                hit_optimum: self.problem.is_optimal(best),
-            });
-            if let Some(r) = &mut self.recorder {
-                r.flush();
-            }
-        }
+        self.ledger.record_run_finished(&*self.problem);
     }
 
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.generation);
-        w.put_u64(self.evaluations);
-        w.put_u64(self.stagnant_generations);
-        w.put_bool(self.optimum_traced);
-        let (s, spare) = self.rng.snapshot_state();
-        for word in s {
-            w.put_u64(word);
-        }
-        w.put_opt_f64(spare);
-        self.best_ever.genome.encode(&mut w);
-        w.put_opt_f64(self.best_ever.fitness);
+        self.ledger.encode(&mut w);
+        w.put_rng(&self.rng);
         w.put_usize(self.virtual_pop);
         w.put_usize(self.p.len());
         for &pi in &self.p {
@@ -330,17 +196,8 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snapshot.reader_for("cga")?;
-        let generation = r.take_u64()?;
-        let evaluations = r.take_u64()?;
-        let stagnant_generations = r.take_u64()?;
-        let optimum_traced = r.take_bool()?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.take_u64()?;
-        }
-        let spare = r.take_opt_f64()?;
-        let genome = BitString::decode(&mut r)?;
-        let fitness = r.take_opt_f64()?;
+        let ledger = RunLedger::decode(&mut r)?;
+        let rng = r.take_rng()?;
         let virtual_pop = r.take_usize()?;
         let len = r.take_count(8)?;
         let mut p = Vec::with_capacity(len);
@@ -362,12 +219,8 @@ impl<P: Problem<Genome = BitString>> Engine for CompactGa<P> {
                 self.p.len()
             )));
         }
-        self.generation = generation;
-        self.evaluations = evaluations;
-        self.stagnant_generations = stagnant_generations;
-        self.optimum_traced = optimum_traced;
-        self.rng = Rng64::from_snapshot_state(s, spare);
-        self.best_ever = Individual { genome, fitness };
+        self.ledger.restore(ledger);
+        self.rng = rng;
         self.p = p;
         Ok(())
     }
@@ -453,19 +306,19 @@ impl<P: Problem<Genome = BitString>> CompactGaBuilder<P> {
         let p = vec![0.5; len];
         let first = sample_genome(&p, &mut rng);
         let fitness = self.problem.evaluate(&first);
+        let ledger = RunLedger::new(
+            &*self.problem,
+            self.seed,
+            1,
+            Individual::evaluated(first, fitness),
+            self.recorder,
+        );
         Ok(CompactGa {
             problem: self.problem,
             p,
             virtual_pop: self.virtual_pop,
             rng,
-            seed: self.seed,
-            generation: 0,
-            evaluations: 1,
-            stagnant_generations: 0,
-            optimum_traced: false,
-            best_ever: Individual::evaluated(first, fitness),
-            recorder: self.recorder,
-            trace_island: 0,
+            ledger,
         })
     }
 }

@@ -23,13 +23,13 @@ use std::time::Duration;
 use pga_cluster::ClusterSpec;
 use pga_core::driver::{Clock, Driver, Engine, Incumbent, RunOutcome, StepReport};
 use pga_core::individual::Individual;
-use pga_core::problem::{Objective, Problem};
-use pga_core::repr::{BitString, Genome};
+use pga_core::problem::Problem;
+use pga_core::repr::BitString;
 use pga_core::rng::Rng64;
 use pga_core::snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 use pga_core::termination::{Progress, Termination};
-use pga_core::ConfigError;
-use pga_observe::{Event, EventKind, Recorder};
+use pga_core::{ConfigError, RunLedger};
+use pga_observe::Recorder;
 
 use crate::cga::{converged, sample_genome, update_slice};
 
@@ -70,16 +70,9 @@ pub struct ShardedCompactGa<P: Problem<Genome = BitString>> {
     virtual_pop: usize,
     cluster: ClusterSpec,
     eval_cost_s: f64,
-    seed: u64,
-    generation: u64,
-    evaluations: u64,
-    stagnant_generations: u64,
-    optimum_traced: bool,
     clock_s: f64,
     wire: WireStats,
-    best_ever: Individual<BitString>,
-    recorder: Option<Box<dyn Recorder>>,
-    trace_island: u32,
+    ledger: RunLedger<BitString>,
 }
 
 impl<P: Problem<Genome = BitString>> ShardedCompactGa<P> {
@@ -95,22 +88,17 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGa<P> {
         self.shards.len()
     }
 
-    /// Competitions completed.
+    /// Counters (a generation is one competition), best individual
+    /// ever, and recorder.
     #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    pub fn ledger(&self) -> &RunLedger<BitString> {
+        &self.ledger
     }
 
-    /// Fitness evaluations spent.
-    #[must_use]
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Best individual ever observed.
-    #[must_use]
-    pub fn best_ever(&self) -> &Individual<BitString> {
-        &self.best_ever
+    /// Mutable ledger access, to attach a recorder or set the island id
+    /// stamped on events.
+    pub fn ledger_mut(&mut self) -> &mut RunLedger<BitString> {
+        &mut self.ledger
     }
 
     /// Virtual seconds elapsed.
@@ -153,34 +141,6 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGa<P> {
         self.shards.iter().all(|s| converged(&s.p))
     }
 
-    /// Attaches an observability recorder (replacing any existing one).
-    /// Recorders only observe and never perturb the trajectory.
-    pub fn set_recorder(&mut self, recorder: impl Recorder + 'static) {
-        self.recorder = Some(Box::new(recorder));
-    }
-
-    /// Detaches and returns the recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// `true` when a recorder is attached.
-    #[must_use]
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Island id stamped on this engine's events.
-    pub fn set_trace_island(&mut self, island: u32) {
-        self.trace_island = island;
-    }
-
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(r) = &mut self.recorder {
-            r.record(&Event::new(kind));
-        }
-    }
-
     /// Runs until the termination rule fires via the shared [`Driver`].
     /// Returns an error if the rule is unbounded.
     pub fn run(
@@ -195,7 +155,7 @@ impl<P: Problem<Genome = BitString>> Incumbent for ShardedCompactGa<P> {
     type Best = Individual<BitString>;
 
     fn best(&self) -> Self::Best {
-        self.best_ever.clone()
+        self.ledger.best_ever().clone()
     }
 }
 
@@ -237,7 +197,7 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
         // --- evaluate: the master scores both competitors.
         let fa = self.problem.evaluate(&a);
         let fb = self.problem.evaluate(&b);
-        self.evaluations += 2;
+        self.ledger.count_evaluations(2);
         let t_eval = 2.0 * self.eval_cost_s / self.cluster.speeds[0];
         // --- broadcast: one byte (the winner's identity) to every node.
         let t_bcast = net.transfer_time(nodes as u64) + net.latency() * (depth - 1.0);
@@ -257,57 +217,13 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
             t_update = t_update.max(shard.p.len() as f64 * BIT_SAMPLE_COST_S / speed);
         }
         self.clock_s += t_sample + t_gather + t_eval + t_bcast + t_update;
-        // --- bookkeeping mirrors `CompactGa`.
-        let improved = self
-            .problem
-            .objective()
-            .better(fw, self.best_ever.fitness());
-        if improved {
-            self.best_ever = Individual::evaluated(winner.clone(), fw);
-            self.stagnant_generations = 0;
-        } else {
-            self.stagnant_generations += 1;
-        }
-        self.generation += 1;
-        let report = StepReport {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            best: fw,
-            mean: 0.5 * (fw + fl),
-            best_ever: self.best_ever.fitness(),
-        };
-        if self.recorder.is_some() {
-            self.emit(EventKind::GenerationCompleted {
-                island: self.trace_island,
-                generation: report.generation,
-                evaluations: report.evaluations,
-                best: report.best,
-                mean: report.mean,
-                best_ever: report.best_ever,
-            });
-        }
-        if !self.optimum_traced && self.problem.is_optimal(report.best_ever) {
-            self.optimum_traced = true;
-            self.emit(EventKind::CheckpointHit {
-                island: self.trace_island,
-                generation: report.generation,
-                best: report.best_ever,
-            });
-        }
-        report
+        let improved = self.ledger.offer(winner, fw);
+        self.ledger
+            .close_generation(&*self.problem, improved, fw, 0.5 * (fw + fl))
     }
 
     fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
+        self.ledger.progress(&*self.problem, elapsed)
     }
 
     fn clock(&self) -> Clock {
@@ -319,53 +235,24 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
     }
 
     fn record_run_started(&mut self) {
-        if self.recorder.is_some() {
-            let problem = self.problem.name();
-            let seed = self.seed;
-            self.emit(EventKind::RunStarted {
-                island: self.trace_island,
-                engine: "pcga".into(),
-                problem,
-                seed,
-            });
-        }
+        self.ledger
+            .record_run_started(&*self.problem, || "pcga".into());
     }
 
     fn record_run_finished(&mut self) {
-        if self.recorder.is_some() {
-            let best = self.best_ever.fitness();
-            self.emit(EventKind::RunFinished {
-                island: self.trace_island,
-                generations: self.generation,
-                evaluations: self.evaluations,
-                best,
-                hit_optimum: self.problem.is_optimal(best),
-            });
-            if let Some(r) = &mut self.recorder {
-                r.flush();
-            }
-        }
+        self.ledger.record_run_finished(&*self.problem);
     }
 
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.generation);
-        w.put_u64(self.evaluations);
-        w.put_u64(self.stagnant_generations);
-        w.put_bool(self.optimum_traced);
+        self.ledger.encode(&mut w);
         w.put_f64(self.clock_s);
         w.put_u64(self.wire.bytes);
         w.put_u64(self.wire.messages);
-        self.best_ever.genome.encode(&mut w);
-        w.put_opt_f64(self.best_ever.fitness);
         w.put_usize(self.virtual_pop);
         w.put_usize(self.shards.len());
         for shard in &self.shards {
-            let (s, spare) = shard.rng.snapshot_state();
-            for word in s {
-                w.put_u64(word);
-            }
-            w.put_opt_f64(spare);
+            w.put_rng(&shard.rng);
             w.put_usize(shard.p.len());
             for &pi in &shard.p {
                 w.put_f64(pi);
@@ -376,17 +263,12 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snapshot.reader_for("pcga")?;
-        let generation = r.take_u64()?;
-        let evaluations = r.take_u64()?;
-        let stagnant_generations = r.take_u64()?;
-        let optimum_traced = r.take_bool()?;
+        let ledger = RunLedger::decode(&mut r)?;
         let clock_s = r.take_f64()?;
         let wire = WireStats {
             bytes: r.take_u64()?,
             messages: r.take_u64()?,
         };
-        let genome = BitString::decode(&mut r)?;
-        let fitness = r.take_opt_f64()?;
         let virtual_pop = r.take_usize()?;
         if virtual_pop != self.virtual_pop {
             return Err(SnapshotError::Invalid(format!(
@@ -404,11 +286,7 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
         }
         let mut restored = Vec::with_capacity(nodes);
         for shard in &self.shards {
-            let mut s = [0u64; 4];
-            for word in &mut s {
-                *word = r.take_u64()?;
-            }
-            let spare = r.take_opt_f64()?;
+            let rng = r.take_rng()?;
             let slice_len = r.take_usize()?;
             if slice_len != shard.p.len() {
                 return Err(SnapshotError::Invalid(format!(
@@ -421,20 +299,16 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
             for _ in 0..slice_len {
                 p.push(r.take_f64()?);
             }
-            restored.push((Rng64::from_snapshot_state(s, spare), p));
+            restored.push((rng, p));
         }
         r.finish()?;
         for (shard, (rng, p)) in self.shards.iter_mut().zip(restored) {
             shard.rng = rng;
             shard.p = p;
         }
-        self.generation = generation;
-        self.evaluations = evaluations;
-        self.stagnant_generations = stagnant_generations;
-        self.optimum_traced = optimum_traced;
+        self.ledger.restore(ledger);
         self.clock_s = clock_s;
         self.wire = wire;
-        self.best_ever = Individual { genome, fitness };
         Ok(())
     }
 }
@@ -572,6 +446,13 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGaBuilder<P> {
         let p0 = vec![0.5; len];
         let first = sample_genome(&p0, &mut root);
         let fitness = self.problem.evaluate(&first);
+        let ledger = RunLedger::new(
+            &*self.problem,
+            self.seed,
+            1,
+            Individual::evaluated(first, fitness),
+            self.recorder,
+        );
         Ok(ShardedCompactGa {
             problem: self.problem,
             shards,
@@ -579,16 +460,9 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGaBuilder<P> {
             virtual_pop: self.virtual_pop,
             cluster,
             eval_cost_s: self.eval_cost_s,
-            seed: self.seed,
-            generation: 0,
-            evaluations: 1,
-            stagnant_generations: 0,
-            optimum_traced: false,
             clock_s: 0.0,
             wire: WireStats::default(),
-            best_ever: Individual::evaluated(first, fitness),
-            recorder: self.recorder,
-            trace_island: 0,
+            ledger,
         })
     }
 }

@@ -7,18 +7,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pga_observe::{Event, EventKind, Recorder, Stopwatch};
+use pga_observe::{Recorder, Stopwatch};
 
 use crate::driver::{Driver, Engine, Incumbent, RunOutcome, StepReport};
 use crate::error::ConfigError;
 use crate::eval::{Evaluator, SerialEvaluator};
 use crate::individual::Individual;
-use crate::ops::{Crossover, Mutation, ReplacementPolicy, Selection};
+use crate::ledger::RunLedger;
+use crate::ops::{breed_one, Crossover, Mutation, ReplacementPolicy, Selection};
 use crate::population::Population;
 use crate::problem::{Objective, Problem};
-use crate::repr::Genome;
 use crate::rng::Rng64;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 use crate::termination::{Progress, Termination};
 
 /// Panmictic evolution scheme (Alba & Troya 2002 terminology).
@@ -59,14 +59,7 @@ pub struct Ga<P: Problem, E: Evaluator<P> = SerialEvaluator> {
     keep_history: bool,
     rng: Rng64,
     population: Population<P::Genome>,
-    generation: u64,
-    evaluations: u64,
-    best_ever: Individual<P::Genome>,
-    stagnant_generations: u64,
-    seed: u64,
-    trace_island: u32,
-    optimum_traced: bool,
-    recorder: Option<Box<dyn Recorder>>,
+    ledger: RunLedger<P::Genome>,
     // Generation arenas: the retiring member vector and the parent-index
     // buffer are recycled across generational steps so the steady-state
     // allocation profile is flat. Never part of snapshots.
@@ -107,79 +100,23 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         &self.population
     }
 
-    /// Generations completed.
+    /// Counters, best individual ever observed (elitism-independent),
+    /// and recorder.
     #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    pub fn ledger(&self) -> &RunLedger<P::Genome> {
+        &self.ledger
     }
 
-    /// Fitness evaluations spent.
-    #[must_use]
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Best individual ever observed (elitism-independent).
-    #[must_use]
-    pub fn best_ever(&self) -> &Individual<P::Genome> {
-        &self.best_ever
-    }
-
-    /// The RNG seed the engine was built with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// Mutable ledger access, to attach a recorder or set the island id
+    /// stamped on events.
+    pub fn ledger_mut(&mut self) -> &mut RunLedger<P::Genome> {
+        &mut self.ledger
     }
 
     /// Mutable access to the engine RNG (used by the island driver to keep
     /// migration draws on the island's own stream).
     pub fn rng_mut(&mut self) -> &mut Rng64 {
         &mut self.rng
-    }
-
-    /// Attaches an observability recorder (replacing any existing one).
-    ///
-    /// Recorders only observe: attaching or detaching one never changes the
-    /// RNG stream or the search trajectory.
-    pub fn set_recorder(&mut self, recorder: impl Recorder + 'static) {
-        self.recorder = Some(Box::new(recorder));
-    }
-
-    /// Detaches and returns the recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// `true` when a recorder is attached.
-    #[must_use]
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Island id stamped on this engine's events (0 unless a parallel
-    /// driver assigns one).
-    pub fn set_trace_island(&mut self, island: u32) {
-        self.trace_island = island;
-    }
-
-    /// Island id stamped on this engine's events.
-    #[must_use]
-    pub fn trace_island(&self) -> u32 {
-        self.trace_island
-    }
-
-    /// Routes a driver-side event (e.g. island migration bookkeeping)
-    /// through this engine's recorder. No-op when none is attached.
-    pub fn record_event(&mut self, event: &Event) {
-        if let Some(r) = &mut self.recorder {
-            r.record(event);
-        }
-    }
-
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(r) = &mut self.recorder {
-            r.record(&Event::new(kind));
-        }
     }
 
     /// Runs until the termination rule fires via the shared [`Driver`],
@@ -226,7 +163,7 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         let mut accepted = 0;
         for im in immigrants.drain(..) {
             debug_assert!(im.is_evaluated(), "immigrants must carry fitness");
-            self.track_best(&im);
+            self.ledger.offer_immigrant(&im);
             if policy
                 .insert(&mut self.population, im, objective, &mut self.rng)
                 .is_some()
@@ -242,7 +179,7 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
     /// Offspring are built into a recycled arena (`offspring_buf`) and the
     /// parent picks into a recycled index buffer, then the arena is swapped
     /// into the population wholesale — no per-generation vector allocation.
-    fn step_generational(&mut self, elitism: usize) {
+    fn step_generational(&mut self, elitism: usize) -> bool {
         let objective = self.problem.objective();
         let n = self.population.len();
         let mut next = std::mem::take(&mut self.offspring_buf);
@@ -282,27 +219,21 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
             }
         }
         self.parents_buf = parents;
-        let sw = Stopwatch::started_if(self.recorder.is_some());
+        let sw = Stopwatch::started_if(self.ledger.is_recording());
         let fresh = self.evaluator.evaluate_batch(&self.problem, &mut next);
-        self.evaluations += fresh;
-        if let Some(micros) = sw.elapsed_micros() {
-            self.emit(EventKind::EvaluationBatch {
-                island: self.trace_island,
-                batch: self.generation + 1,
-                size: n as u64,
-                fresh,
-                micros,
-            });
-        }
+        self.ledger.count_evaluations(fresh);
+        self.ledger.record_batch(&sw, n, fresh);
         // Swap the evaluated offspring in; the retiring members land in
         // `next` and are recycled as the next generation's arena.
         self.population.swap_members(&mut next);
         next.clear();
         self.offspring_buf = next;
-        self.update_best_from_population();
+        let best = self.population.best(objective);
+        self.ledger.offer(&best.genome, best.fitness())
     }
 
-    /// `count` steady-state offspring insertions.
+    /// `count` steady-state offspring insertions. No generation closes, so
+    /// the generation and stagnation counts stay as they are.
     pub fn step_offspring(&mut self, count: usize) {
         let replacement = match self.scheme {
             Scheme::SteadyState { replacement } => replacement,
@@ -311,99 +242,34 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         self.step_steady_state(count, replacement);
     }
 
-    fn step_steady_state(&mut self, count: usize, replacement: ReplacementPolicy) {
+    fn step_steady_state(&mut self, count: usize, replacement: ReplacementPolicy) -> bool {
         let objective = self.problem.objective();
         let mut improved = false;
-        let sw = Stopwatch::started_if(self.recorder.is_some());
+        let sw = Stopwatch::started_if(self.ledger.is_recording());
         let mut fresh_total = 0u64;
         for _ in 0..count {
-            let pa = self
-                .selection
-                .select(&self.population, objective, &mut self.rng);
-            let pb = self
-                .selection
-                .select(&self.population, objective, &mut self.rng);
-            let (ga, gb) = (&self.population[pa].genome, &self.population[pb].genome);
-            let (mut child, _) = if self.rng.chance(self.crossover_rate) {
-                self.crossover.crossover(ga, gb, &mut self.rng)
-            } else {
-                (ga.clone(), gb.clone())
-            };
-            self.mutation.mutate(&mut child, &mut self.rng);
+            let child = breed_one(
+                &self.population,
+                objective,
+                self.selection.as_ref(),
+                self.crossover.as_ref(),
+                self.mutation.as_ref(),
+                self.crossover_rate,
+                &mut self.rng,
+            );
             let mut child = Individual::unevaluated(child);
             let fresh = self
                 .evaluator
                 .evaluate_batch(&self.problem, std::slice::from_mut(&mut child));
-            self.evaluations += fresh;
+            self.ledger.count_evaluations(fresh);
             fresh_total += fresh;
-            if objective.better(child.fitness(), self.best_ever.fitness()) {
-                self.best_ever = child.clone();
-                improved = true;
-            }
+            improved |= self.ledger.offer(&child.genome, child.fitness());
             replacement.insert(&mut self.population, child, objective, &mut self.rng);
         }
         // One event per generation-equivalent; the scope also covers the
         // variation operators interleaved with each single-child evaluation.
-        if let Some(micros) = sw.elapsed_micros() {
-            self.emit(EventKind::EvaluationBatch {
-                island: self.trace_island,
-                batch: self.generation + 1,
-                size: count as u64,
-                fresh: fresh_total,
-                micros,
-            });
-        }
-        if improved {
-            self.stagnant_generations = 0;
-        } else {
-            self.stagnant_generations += 1;
-        }
-    }
-
-    fn update_best_from_population(&mut self) {
-        let objective = self.problem.objective();
-        let best = self.population.best(objective).clone();
-        if objective.better(best.fitness(), self.best_ever.fitness()) {
-            self.best_ever = best;
-            self.stagnant_generations = 0;
-        } else {
-            self.stagnant_generations += 1;
-        }
-    }
-
-    fn track_best(&mut self, candidate: &Individual<P::Genome>) {
-        if self
-            .problem
-            .objective()
-            .better(candidate.fitness(), self.best_ever.fitness())
-        {
-            self.best_ever = candidate.clone();
-            // Progress is progress regardless of its source: an improving
-            // immigrant must not count toward stagnation.
-            self.stagnant_generations = 0;
-        }
-    }
-
-    fn gen_report(&self) -> StepReport {
-        let pop = self.population.stats(self.problem.objective());
-        StepReport {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            best: pop.best,
-            mean: pop.mean,
-            best_ever: self.best_ever.fitness(),
-        }
-    }
-
-    fn put_individual(w: &mut SnapshotWriter, member: &Individual<P::Genome>) {
-        member.genome.encode(w);
-        w.put_opt_f64(member.fitness);
-    }
-
-    fn take_individual(r: &mut SnapshotReader<'_>) -> Result<Individual<P::Genome>, SnapshotError> {
-        let genome = P::Genome::decode(r)?;
-        let fitness = r.take_opt_f64()?;
-        Ok(Individual { genome, fitness })
+        self.ledger.record_batch(&sw, count, fresh_total);
+        improved
     }
 }
 
@@ -413,7 +279,7 @@ impl<P: Problem, E: Evaluator<P>> Incumbent for Ga<P, E> {
     type Best = Individual<P::Genome>;
 
     fn best(&self) -> Self::Best {
-        self.best_ever.clone()
+        self.ledger.best_ever().clone()
     }
 }
 
@@ -425,115 +291,51 @@ impl<P: Problem, E: Evaluator<P>> Engine for Ga<P, E> {
     /// Advances one generation (generational scheme) or one generation
     /// equivalent of `pop_size` offspring (steady-state scheme).
     fn step(&mut self) -> StepReport {
-        match self.scheme {
+        let improved = match self.scheme {
             Scheme::Generational { elitism } => self.step_generational(elitism),
             Scheme::SteadyState { replacement } => {
                 let n = self.population.len();
                 self.step_steady_state(n, replacement)
             }
-        }
-        self.generation += 1;
-        let report = self.gen_report();
-        if self.recorder.is_some() {
-            self.emit(EventKind::GenerationCompleted {
-                island: self.trace_island,
-                generation: report.generation,
-                evaluations: report.evaluations,
-                best: report.best,
-                mean: report.mean,
-                best_ever: report.best_ever,
-            });
-        }
-        // Tracked unconditionally so snapshot bytes do not depend on
-        // whether a recorder is attached; `emit` no-ops without one.
-        if !self.optimum_traced && self.problem.is_optimal(report.best_ever) {
-            self.optimum_traced = true;
-            self.emit(EventKind::CheckpointHit {
-                island: self.trace_island,
-                generation: report.generation,
-                best: report.best_ever,
-            });
-        }
-        report
+        };
+        let pop = self.population.stats(self.problem.objective());
+        self.ledger
+            .close_generation(&*self.problem, improved, pop.best, pop.mean)
     }
 
     fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
+        self.ledger.progress(&*self.problem, elapsed)
     }
 
     fn record_run_started(&mut self) {
-        if self.recorder.is_some() {
-            let engine = format!("ga-{}", self.scheme.name());
-            let problem = self.problem.name();
-            self.emit(EventKind::RunStarted {
-                island: self.trace_island,
-                engine,
-                problem,
-                seed: self.seed,
-            });
-        }
+        let scheme = self.scheme.name();
+        self.ledger
+            .record_run_started(&*self.problem, || format!("ga-{scheme}"));
     }
 
     fn record_run_finished(&mut self) {
-        if self.recorder.is_some() {
-            let best = self.best_ever.fitness();
-            self.emit(EventKind::RunFinished {
-                island: self.trace_island,
-                generations: self.generation,
-                evaluations: self.evaluations,
-                best,
-                hit_optimum: self.problem.is_optimal(best),
-            });
-            if let Some(r) = &mut self.recorder {
-                r.flush();
-            }
-        }
+        self.ledger.record_run_finished(&*self.problem);
     }
 
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.generation);
-        w.put_u64(self.evaluations);
-        w.put_u64(self.stagnant_generations);
-        w.put_bool(self.optimum_traced);
-        let (s, spare) = self.rng.snapshot_state();
-        for word in s {
-            w.put_u64(word);
-        }
-        w.put_opt_f64(spare);
-        Self::put_individual(&mut w, &self.best_ever);
+        self.ledger.encode(&mut w);
+        w.put_rng(&self.rng);
         w.put_usize(self.population.len());
         for member in self.population.members() {
-            Self::put_individual(&mut w, member);
+            member.encode(&mut w);
         }
         Snapshot::new("ga", w.into_bytes())
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snapshot.reader_for("ga")?;
-        let generation = r.take_u64()?;
-        let evaluations = r.take_u64()?;
-        let stagnant_generations = r.take_u64()?;
-        let optimum_traced = r.take_bool()?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.take_u64()?;
-        }
-        let spare = r.take_opt_f64()?;
-        let best_ever = Self::take_individual(&mut r)?;
+        let ledger = RunLedger::decode(&mut r)?;
+        let rng = r.take_rng()?;
         let len = r.take_usize()?;
         let mut members = Vec::new();
         for _ in 0..len {
-            members.push(Self::take_individual(&mut r)?);
+            members.push(Individual::decode(&mut r)?);
         }
         r.finish()?;
         if members.len() != self.population.len() {
@@ -542,12 +344,8 @@ impl<P: Problem, E: Evaluator<P>> Engine for Ga<P, E> {
                 self.population.len()
             )));
         }
-        self.generation = generation;
-        self.evaluations = evaluations;
-        self.stagnant_generations = stagnant_generations;
-        self.optimum_traced = optimum_traced;
-        self.rng = Rng64::from_snapshot_state(s, spare);
-        self.best_ever = best_ever;
+        self.ledger.restore(ledger);
+        self.rng = rng;
         self.population = Population::new(members);
         Ok(())
     }
@@ -734,6 +532,13 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
         let evaluations = evaluator.evaluate_batch(&self.problem, population.members_mut());
         population.refresh_fitness();
         let best_ever = population.best(self.problem.objective()).clone();
+        let ledger = RunLedger::new(
+            &*self.problem,
+            self.seed,
+            evaluations,
+            best_ever,
+            self.recorder,
+        );
 
         Ok(Ga {
             problem: self.problem,
@@ -746,14 +551,7 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
             keep_history: self.keep_history,
             rng,
             population,
-            generation: 0,
-            evaluations,
-            best_ever,
-            stagnant_generations: 0,
-            seed: self.seed,
-            trace_island: 0,
-            optimum_traced: false,
-            recorder: self.recorder,
+            ledger,
             offspring_buf: Vec::new(),
             parents_buf: Vec::new(),
         })
@@ -856,8 +654,8 @@ mod tests {
     fn initial_population_is_evaluated() {
         let ga = onemax_ga(3, Scheme::Generational { elitism: 1 });
         assert!(ga.population().all_evaluated());
-        assert_eq!(ga.evaluations(), 60);
-        assert_eq!(ga.generation(), 0);
+        assert_eq!(ga.ledger().evaluations(), 60);
+        assert_eq!(ga.ledger().generation(), 0);
     }
 
     #[test]
@@ -887,7 +685,7 @@ mod tests {
     #[test]
     fn elitism_never_loses_best() {
         let mut ga = onemax_ga(11, Scheme::Generational { elitism: 1 });
-        let mut last_best = ga.best_ever().fitness();
+        let mut last_best = ga.ledger().best_ever().fitness();
         for _ in 0..50 {
             let s = ga.step();
             assert!(
@@ -969,7 +767,7 @@ mod tests {
         let perfect = Individual::evaluated(BitString::ones(64), 64.0);
         let accepted = ga.receive_immigrants(vec![perfect], ReplacementPolicy::WorstIfBetter);
         assert_eq!(accepted, 1);
-        assert_eq!(ga.best_ever().fitness(), 64.0);
+        assert_eq!(ga.ledger().best_ever().fitness(), 64.0);
     }
 
     #[test]

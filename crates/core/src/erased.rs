@@ -64,6 +64,42 @@ impl Incumbent for dyn Engine + Send + '_ {
     }
 }
 
+/// A boxed engine is an engine: every method forwards to the box's
+/// contents, so a box of any engine trait object (a `Box<dyn Deme>` of
+/// `pga-island` included) drives like the engine inside it.
+impl<E: Engine + ?Sized> Engine for Box<E> {
+    fn engine_id(&self) -> &'static str {
+        (**self).engine_id()
+    }
+    fn step(&mut self) -> StepReport {
+        (**self).step()
+    }
+    fn poll_step(&mut self) -> PollReport {
+        (**self).poll_step()
+    }
+    fn progress(&self, elapsed: Duration) -> Progress {
+        (**self).progress(elapsed)
+    }
+    fn clock(&self) -> Clock {
+        (**self).clock()
+    }
+    fn halted(&self) -> bool {
+        (**self).halted()
+    }
+    fn record_run_started(&mut self) {
+        (**self).record_run_started();
+    }
+    fn record_run_finished(&mut self) {
+        (**self).record_run_finished();
+    }
+    fn snapshot(&self) -> Snapshot {
+        (**self).snapshot()
+    }
+    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
+        (**self).restore(snapshot)
+    }
+}
+
 /// Forwards every [`Engine`] method to the borrowed `dyn Engine`.
 ///
 /// Kept only for the repository benchmark (`examples/benchmark`), whose

@@ -1,5 +1,8 @@
 //! A genome paired with its (cached) fitness.
 
+use crate::repr::Genome;
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+
 /// One member of a population.
 ///
 /// Fitness is `None` until an [`Evaluator`](crate::eval::Evaluator) fills it
@@ -55,6 +58,21 @@ impl<G> Individual<G> {
     #[inline]
     pub fn invalidate(&mut self) {
         self.fitness = None;
+    }
+}
+
+impl<G: Genome> Individual<G> {
+    /// Appends the genome and the cached fitness to a snapshot payload.
+    pub fn encode(&self, w: &mut SnapshotWriter) {
+        self.genome.encode(w);
+        w.put_opt_f64(self.fitness);
+    }
+
+    /// Reads an individual written by [`encode`](Self::encode).
+    pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let genome = G::decode(r)?;
+        let fitness = r.take_opt_f64()?;
+        Ok(Self { genome, fitness })
     }
 }
 

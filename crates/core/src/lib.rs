@@ -63,6 +63,7 @@ pub mod erased;
 pub mod error;
 pub mod eval;
 pub mod individual;
+pub mod ledger;
 pub mod ops;
 pub mod population;
 pub mod problem;
@@ -77,6 +78,7 @@ pub use erased::{BoxedEngine, ErasedRun};
 pub use error::ConfigError;
 pub use eval::{Evaluator, SerialEvaluator};
 pub use individual::Individual;
+pub use ledger::RunLedger;
 pub use population::{PopStats, Population};
 pub use problem::{Objective, Problem};
 pub use repr::{BitString, Bounds, Genome, IntVector, Permutation, RealVector};

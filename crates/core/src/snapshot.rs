@@ -7,7 +7,14 @@
 //! RNG streams, counters — and restoring it into a freshly built engine of
 //! the same configuration continues the run **bit-identically** to an
 //! uninterrupted one (guaranteed by `tests/checkpoint_resume.rs` for all
-//! six engine families).
+//! seven engine families, at every step boundary).
+//!
+//! The payload of the five engines that keep a
+//! [`RunLedger`](crate::ledger::RunLedger) — `ga`, `cellular`, `cga`,
+//! `pcga` and `async-steady` — starts with the ledger block: generation,
+//! evaluations, stagnation, the optimum-traced flag and the best
+//! individual. The engine's own state (RNG streams, population or model,
+//! family counters) follows it.
 //!
 //! The byte format is self-contained (no serde in the workspace): a magic
 //! header, a format version, the engine tag, the length-prefixed payload,
@@ -16,16 +23,21 @@
 //! checkpoint of a few megabytes is verified at close to memory speed,
 //! and any single changed byte always changes it.
 //! [`Snapshot::from_bytes`] rejects truncation, corruption, unknown
-//! format versions (version-1 bytes included) and wrong-engine restores
-//! with a typed [`SnapshotError`] and never panics.
+//! format versions (version-1 and version-2 bytes included) and
+//! wrong-engine restores with a typed [`SnapshotError`] and never panics.
 
 use std::fmt;
+
+use crate::rng::Rng64;
 
 /// Magic prefix of every serialized snapshot (`"PGAS"`).
 const MAGIC: [u8; 4] = *b"PGAS";
 /// Current format version. Version 2 replaced version 1's bytewise
-/// checksum with [`checksum`]; version-1 bytes are a bad header.
-const VERSION: u8 = 2;
+/// checksum with [`checksum`]; version 3 moved every ledger engine's
+/// run counters and best individual into one leading block of the payload
+/// (see [`RunLedger`](crate::ledger::RunLedger)). Older bytes are a bad
+/// header; nothing is migrated.
+const VERSION: u8 = 3;
 /// Bytes of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
 
@@ -186,7 +198,10 @@ impl Snapshot {
     /// `magic ++ version ++ engine ++ payload ++ checksum(everything before)`.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        Self::encode_after(Vec::new(), &self.engine, |w| {
+        // Magic, version, tag length, tag, payload length, payload, sum:
+        // reserved up front so the buffer never grows and copies itself.
+        let len = MAGIC.len() + 1 + 8 + self.engine.len() + 8 + self.payload.len() + CHECKSUM_LEN;
+        Self::encode_after(Vec::with_capacity(len), &self.engine, |w| {
             w.buf.extend_from_slice(&self.payload);
         })
     }
@@ -323,6 +338,16 @@ impl SnapshotWriter {
         }
     }
 
+    /// Appends a generator's full state (four words and the cached
+    /// Gaussian spare).
+    pub fn put_rng(&mut self, rng: &Rng64) {
+        let (state, spare) = rng.snapshot_state();
+        for word in state {
+            self.put_u64(word);
+        }
+        self.put_opt_f64(spare);
+    }
+
     /// Appends a length-prefixed byte slice.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
@@ -438,6 +463,15 @@ impl<'a> SnapshotReader<'a> {
         } else {
             Ok(None)
         }
+    }
+
+    /// Reads a generator written by [`SnapshotWriter::put_rng`].
+    pub fn take_rng(&mut self) -> Result<Rng64, SnapshotError> {
+        let mut state = [0u64; 4];
+        for word in &mut state {
+            *word = self.take_u64()?;
+        }
+        Ok(Rng64::from_snapshot_state(state, self.take_opt_f64()?))
     }
 
     /// Reads a length-prefixed byte slice.
@@ -581,26 +615,68 @@ mod tests {
         bytes
     }
 
+    /// `payload` framed in the version-2 layout: the current framing and
+    /// checksum under version byte 2.
+    fn version_two_bytes(engine: &str, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Snapshot::new(engine, payload.to_vec()).to_bytes();
+        bytes.truncate(bytes.len() - CHECKSUM_LEN);
+        bytes[4] = 2;
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn version_one_bytes_are_a_bad_header_and_never_panic() {
-        let v1 = version_one_bytes("ga", &[7; 40]);
-        let v2 = Snapshot::new("ga", vec![7; 40]).to_bytes();
-        assert_eq!(v1.len(), v2.len(), "only the version and the sum differ");
-        assert_eq!(v1[..4], v2[..4]);
-        assert_eq!(Snapshot::from_bytes(&v1), Err(SnapshotError::BadHeader));
-        assert_eq!(
-            Snapshot::from_prefix(&v1).err(),
-            Some(SnapshotError::BadHeader)
-        );
-        // Every prefix and every byte flip is a typed error too.
-        for keep in 0..v1.len() {
-            assert!(Snapshot::from_bytes(&v1[..keep]).is_err(), "keep {keep}");
-            assert!(Snapshot::from_prefix(&v1[..keep]).is_err(), "keep {keep}");
+        let current = Snapshot::new("ga", vec![7; 40]).to_bytes();
+        for old in [
+            version_one_bytes("ga", &[7; 40]),
+            version_two_bytes("ga", &[7; 40]),
+        ] {
+            let version = old[4];
+            assert_eq!(
+                old.len(),
+                current.len(),
+                "only the version and the sum differ"
+            );
+            assert_eq!(old[..4], current[..4]);
+            assert_ne!(old[4], current[4]);
+            assert_eq!(Snapshot::from_bytes(&old), Err(SnapshotError::BadHeader));
+            assert_eq!(
+                Snapshot::from_prefix(&old).err(),
+                Some(SnapshotError::BadHeader)
+            );
+            // Every prefix and every byte flip is a typed error too.
+            for keep in 0..old.len() {
+                assert!(
+                    Snapshot::from_bytes(&old[..keep]).is_err(),
+                    "v{version} keep {keep}"
+                );
+                assert!(
+                    Snapshot::from_prefix(&old[..keep]).is_err(),
+                    "v{version} keep {keep}"
+                );
+            }
+            for at in 0..old.len() {
+                let mut bytes = old.clone();
+                bytes[at] ^= 0xff;
+                assert!(
+                    Snapshot::from_bytes(&bytes).is_err(),
+                    "v{version} flip at {at}"
+                );
+            }
         }
-        for at in 0..v1.len() {
-            let mut bytes = v1.clone();
-            bytes[at] ^= 0xff;
-            assert!(Snapshot::from_bytes(&bytes).is_err(), "flip at {at}");
+    }
+
+    #[test]
+    fn to_bytes_reserves_its_exact_length() {
+        for (tag, len) in [("ga", 0), ("cellular", 1), ("archipelago", 4096)] {
+            let bytes = Snapshot::new(tag, vec![3; len]).to_bytes();
+            assert_eq!(
+                bytes.capacity(),
+                bytes.len(),
+                "{tag} with {len} payload bytes"
+            );
         }
     }
 

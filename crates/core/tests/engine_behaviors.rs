@@ -79,11 +79,11 @@ fn step_offspring_advances_steady_state_incrementally() {
         })
         .build()
         .unwrap();
-    let before = ga.evaluations();
+    let before = ga.ledger().evaluations();
     ga.step_offspring(7);
-    assert_eq!(ga.evaluations(), before + 7);
+    assert_eq!(ga.ledger().evaluations(), before + 7);
     // Generation counter is only advanced by full steps.
-    assert_eq!(ga.generation(), 0);
+    assert_eq!(ga.ledger().generation(), 0);
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn shared_problem_instances_can_drive_many_engines() {
     for ga in &mut engines {
         ga.step();
     }
-    assert!(engines.iter().all(|g| g.generation() == 1));
+    assert!(engines.iter().all(|g| g.ledger().generation() == 1));
 }
 
 #[test]

@@ -202,7 +202,10 @@ impl<F: FidelityProblem> Hga<F> {
                 });
             }
         }
-        let charged = islands.iter().map(Ga::evaluations).collect::<Vec<_>>();
+        let charged = islands
+            .iter()
+            .map(|g| g.ledger().evaluations())
+            .collect::<Vec<_>>();
         // Charge initial populations.
         let mut cost_units = 0.0;
         for (i, isl) in islands.iter().enumerate() {
@@ -249,7 +252,7 @@ impl<F: FidelityProblem> Hga<F> {
             if self.layer_of[i] != 0 {
                 continue;
             }
-            let cand = isl.best_ever();
+            let cand = isl.ledger().best_ever();
             if best.is_none() || objective.better(cand.fitness(), best.expect("set").fitness()) {
                 best = Some(cand);
             }
@@ -259,7 +262,7 @@ impl<F: FidelityProblem> Hga<F> {
 
     fn charge_new_evals(&mut self) {
         for i in 0..self.islands.len() {
-            let now = self.islands[i].evaluations();
+            let now = self.islands[i].ledger().evaluations();
             let fresh = now - self.charged[i];
             if fresh > 0 {
                 self.cost_units += fresh as f64 * self.islands[i].problem().cost();
@@ -340,7 +343,7 @@ impl<F: FidelityProblem> Hga<F> {
     /// see [`Hga::cost_units`] for the cost-weighted figure).
     #[must_use]
     pub fn evaluations(&self) -> u64 {
-        self.islands.iter().map(Ga::evaluations).sum()
+        self.islands.iter().map(|g| g.ledger().evaluations()).sum()
     }
 
     /// Runs under `termination` through the shared [`Driver`]. Cost budgets

@@ -6,7 +6,7 @@ use crate::resilient::{ResiliencePolicy, ResilientOptions};
 use pga_cluster::MigrationFaultPlan;
 use pga_core::termination::{Progress, StopReason, Termination};
 use pga_core::{
-    ConfigError, Driver, Engine, Genome, Incumbent, Individual, Objective, RunOutcome, Snapshot,
+    ConfigError, Driver, Engine, Incumbent, Individual, Objective, RunOutcome, Snapshot,
     SnapshotError, StepReport,
 };
 use pga_observe::{Event, EventKind, SharedRecorder};
@@ -349,7 +349,7 @@ impl<D: Deme> Archipelago<D> {
                 sent += migrants.len() as u64;
                 self.per_island_sent[src] += migrants.len() as u64;
                 if !migrants.is_empty() {
-                    let generation = self.islands[src].generation();
+                    let generation = self.islands[src].progress(Duration::ZERO).generations;
                     self.islands[src].record_event(&Event::new(EventKind::MigrationSent {
                         from: src as u32,
                         to: dst as u32,
@@ -369,7 +369,7 @@ impl<D: Deme> Archipelago<D> {
                 let here = self.islands[dst].immigrate_batch(&mut inbox, policy.replacement) as u64;
                 accepted += here;
                 self.per_island_accepted[dst] += here;
-                let generation = self.islands[dst].generation();
+                let generation = self.islands[dst].progress(Duration::ZERO).generations;
                 self.islands[dst].record_event(&Event::new(EventKind::MigrationReceived {
                     island: dst as u32,
                     generation,
@@ -398,7 +398,7 @@ impl<D: Deme> Archipelago<D> {
                 sent += migrants.len() as u64;
                 self.per_island_sent[src] += migrants.len() as u64;
                 if !migrants.is_empty() {
-                    let generation = self.islands[src].generation();
+                    let generation = self.islands[src].progress(Duration::ZERO).generations;
                     self.islands[src].record_event(&Event::new(EventKind::MigrationSent {
                         from: src as u32,
                         to: dst as u32,
@@ -428,7 +428,7 @@ impl<D: Deme> Archipelago<D> {
             let here = self.islands[dst].immigrate_batch(&mut inbox, policy.replacement) as u64;
             accepted += here;
             self.per_island_accepted[dst] += here;
-            let generation = self.islands[dst].generation();
+            let generation = self.islands[dst].progress(Duration::ZERO).generations;
             self.islands[dst].record_event(&Event::new(EventKind::AsyncImmigrantsDrained {
                 island: dst as u32,
                 generation,
@@ -442,11 +442,16 @@ impl<D: Deme> Archipelago<D> {
     }
 
     fn any_optimal(&self) -> bool {
-        self.islands.iter().any(Deme::is_optimal)
+        self.islands
+            .iter()
+            .any(|d| d.progress(Duration::ZERO).best_is_optimal)
     }
 
     fn total_evaluations(&self) -> u64 {
-        self.islands.iter().map(Deme::evaluations).sum()
+        self.islands
+            .iter()
+            .map(|d| d.progress(Duration::ZERO).evaluations)
+            .sum()
     }
 
     fn objective(&self) -> Objective {
@@ -458,8 +463,8 @@ impl<D: Deme> Archipelago<D> {
         let mut best = 0;
         for (i, isl) in self.islands.iter().enumerate() {
             if objective.better(
-                isl.best_individual().fitness(),
-                self.islands[best].best_individual().fitness(),
+                isl.progress(Duration::ZERO).best_fitness,
+                self.islands[best].progress(Duration::ZERO).best_fitness,
             ) {
                 best = i;
             }
@@ -475,26 +480,33 @@ impl<D: Deme> Archipelago<D> {
             .islands
             .iter()
             .enumerate()
-            .map(|(i, isl)| IslandStats {
-                stop: outcome.stop,
-                generations: isl.generation(),
-                evaluations: isl.evaluations(),
-                best: isl.best_individual().fitness(),
-                sent: self.per_island_sent[i],
-                accepted: self.per_island_accepted[i],
-                dropped: 0,
-                resurrections: 0,
+            .map(|(i, isl)| {
+                let progress = isl.progress(Duration::ZERO);
+                IslandStats {
+                    stop: outcome.stop,
+                    generations: progress.generations,
+                    evaluations: progress.evaluations,
+                    best: progress.best_fitness,
+                    sent: self.per_island_sent[i],
+                    accepted: self.per_island_accepted[i],
+                    dropped: 0,
+                    resurrections: 0,
+                }
             })
             .collect();
         IslandRun {
             best: outcome.best,
             best_island,
             total_evaluations: self.total_evaluations(),
-            generations: self.islands.iter().map(Deme::generation).collect(),
+            generations: self
+                .islands
+                .iter()
+                .map(|d| d.progress(Duration::ZERO).generations)
+                .collect(),
             per_island_best: self
                 .islands
                 .iter()
-                .map(|i| i.best_individual().fitness())
+                .map(|i| i.progress(Duration::ZERO).best_fitness)
                 .collect(),
             hit_optimum: outcome.hit_optimum,
             stop: outcome.stop,
@@ -529,7 +541,7 @@ impl<D: Deme> Engine for Archipelago<D> {
         let mut mean_sum = 0.0;
         let objective = self.objective();
         for (i, island) in self.islands.iter_mut().enumerate() {
-            let report = island.step_deme();
+            let report = island.step();
             if best.is_nan() || objective.better(report.best, best) {
                 best = report.best;
             }
@@ -558,7 +570,9 @@ impl<D: Deme> Engine for Archipelago<D> {
             self.migrants_accepted += accepted;
         }
 
-        let best_ever = self.islands[self.best_island()].best_individual().fitness();
+        let best_ever = self.islands[self.best_island()]
+            .progress(Duration::ZERO)
+            .best_fitness;
         match self.best_seen {
             Some(seen) if !objective.better(best_ever, seen) => self.stagnant_generations += 1,
             _ => {
@@ -580,7 +594,9 @@ impl<D: Deme> Engine for Archipelago<D> {
         Progress {
             generations: self.generation,
             evaluations,
-            best_fitness: self.islands[self.best_island()].best_individual().fitness(),
+            best_fitness: self.islands[self.best_island()]
+                .progress(Duration::ZERO)
+                .best_fitness,
             best_is_optimal: self.any_optimal(),
             stagnant_generations: self.stagnant_generations,
             elapsed,
@@ -618,7 +634,7 @@ impl<D: Deme> Engine for Archipelago<D> {
         for (i, island) in self.islands.iter().enumerate() {
             w.put_u64(self.per_island_sent[i]);
             w.put_u64(self.per_island_accepted[i]);
-            let nested = island.snapshot_deme();
+            let nested = island.snapshot();
             w.put_str(nested.engine());
             w.put_bytes(nested.payload());
         }
@@ -626,8 +642,7 @@ impl<D: Deme> Engine for Archipelago<D> {
             for inbox in &self.pending {
                 w.put_usize(inbox.len());
                 for member in inbox {
-                    member.genome.encode(&mut w);
-                    w.put_opt_f64(member.fitness);
+                    member.encode(&mut w);
                 }
             }
         }
@@ -664,9 +679,7 @@ impl<D: Deme> Engine for Archipelago<D> {
                 let count = r.take_count(1)?;
                 let mut inbox = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let genome = <D::Genome as Genome>::decode(&mut r)?;
-                    let fitness = r.take_opt_f64()?;
-                    inbox.push(Individual { genome, fitness });
+                    inbox.push(Individual::decode(&mut r)?);
                 }
                 pending.push(inbox);
             }
@@ -675,7 +688,7 @@ impl<D: Deme> Engine for Archipelago<D> {
         }
         r.finish()?;
         for (island, snap) in self.islands.iter_mut().zip(&nested) {
-            island.restore_deme(snap)?;
+            island.restore(snap)?;
         }
         self.generation = generation;
         self.migrants_sent = migrants_sent;

@@ -1,5 +1,5 @@
-//! The deme abstraction: anything that can evolve one step and exchange
-//! individuals can be an island.
+//! The deme abstraction: any [`Engine`] that can exchange individuals
+//! can be an island.
 //!
 //! The survey's **hybrid** model (§1.2) combines parallelization grains —
 //! e.g. a coarse-grained ring whose islands are themselves fine-grained
@@ -8,41 +8,30 @@
 //! drivers ([`crate::Archipelago`] and [`crate::run_threaded`]) host any
 //! engine: `pga-core`'s panmictic [`Ga`], `pga-cellular`'s grid engine
 //! (via its `Deme` impl in that crate), or user-defined engines.
+//!
+//! `Deme` extends [`Engine`] with migration only. Drivers step, checkpoint
+//! and restore a deme, and emit its run lifecycle events, through
+//! `Engine`; they read its generation and evaluation counts from
+//! [`Engine::progress`].
 
 use crate::migration::EmigrantSelection;
 use pga_core::ops::ReplacementPolicy;
-use pga_core::{
-    Engine, Evaluator, Ga, Genome, Individual, Objective, Problem, Snapshot, SnapshotError,
-    StepReport,
-};
+use pga_core::{Engine, Evaluator, Ga, Genome, Individual, Objective, Problem};
 use pga_observe::Event;
 
 /// One island: an evolving population that can emit and absorb migrants.
 ///
 /// Implementations must be `Send` so the threaded driver can move them onto
 /// worker threads.
-pub trait Deme: Send {
+pub trait Deme: Engine + Send {
     /// Chromosome type exchanged with neighboring demes.
     type Genome: Genome;
-
-    /// Advances one generation (or generation-equivalent) and reports
-    /// statistics.
-    fn step_deme(&mut self) -> StepReport;
 
     /// Optimization direction (must agree across an archipelago).
     fn objective(&self) -> Objective;
 
-    /// Generations completed.
-    fn generation(&self) -> u64;
-
-    /// Evaluations spent.
-    fn evaluations(&self) -> u64;
-
     /// Best individual ever observed.
     fn best_individual(&self) -> Individual<Self::Genome>;
-
-    /// `true` when the deme's best reaches the problem's known optimum.
-    fn is_optimal(&self) -> bool;
 
     /// Clones `count` emigrants chosen by `selection` (drawn from the
     /// deme's own random stream).
@@ -105,50 +94,17 @@ pub trait Deme: Send {
     /// Assigns the island id the deme stamps on its own events. Default:
     /// no-op.
     fn set_trace_island(&mut self, _island: u32) {}
-
-    /// Emits a `RunStarted` event through the deme's recorder, if any.
-    /// Island drivers call this once before stepping begins. Default:
-    /// no-op.
-    fn record_run_started(&mut self) {}
-
-    /// Emits a `RunFinished` event and flushes the deme's recorder, if
-    /// any. Island drivers call this once after the stopping rule fires.
-    /// Default: no-op.
-    fn record_run_finished(&mut self) {}
-
-    /// Checkpoints the deme's dynamic state (see `pga_core::snapshot`).
-    /// Island snapshots nest one deme snapshot per island.
-    fn snapshot_deme(&self) -> Snapshot;
-
-    /// Restores a checkpoint taken from an identically configured deme.
-    fn restore_deme(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError>;
 }
 
 impl<P: Problem, E: Evaluator<P>> Deme for Ga<P, E> {
     type Genome = P::Genome;
 
-    fn step_deme(&mut self) -> StepReport {
-        self.step()
-    }
-
     fn objective(&self) -> Objective {
         Ga::objective(self)
     }
 
-    fn generation(&self) -> u64 {
-        Ga::generation(self)
-    }
-
-    fn evaluations(&self) -> u64 {
-        Ga::evaluations(self)
-    }
-
     fn best_individual(&self) -> Individual<P::Genome> {
-        self.best_ever().clone()
-    }
-
-    fn is_optimal(&self) -> bool {
-        self.problem().is_optimal(self.best_ever().fitness())
+        self.ledger().best_ever().clone()
     }
 
     fn emigrants(
@@ -180,54 +136,31 @@ impl<P: Problem, E: Evaluator<P>> Deme for Ga<P, E> {
     }
 
     fn record_event(&mut self, event: &Event) {
-        Ga::record_event(self, event);
+        self.ledger_mut().record_event(event);
     }
 
     fn set_trace_island(&mut self, island: u32) {
-        Ga::set_trace_island(self, island);
-    }
-
-    fn record_run_started(&mut self) {
-        Engine::record_run_started(self);
-    }
-
-    fn record_run_finished(&mut self) {
-        Engine::record_run_finished(self);
-    }
-
-    fn snapshot_deme(&self) -> Snapshot {
-        Engine::snapshot(self)
-    }
-
-    fn restore_deme(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        Engine::restore(self, snapshot)
+        self.ledger_mut().set_trace_island(island);
     }
 }
 
 /// Boxed demes are demes, so heterogeneous archipelagos can mix engine
-/// kinds: `Vec<Box<dyn Deme<Genome = BitString>>>`.
-impl<G: Genome> Deme for Box<dyn Deme<Genome = G>> {
-    type Genome = G;
+/// kinds: `Vec<Box<dyn Deme<Genome = BitString>>>`. The box is an
+/// [`Engine`] through `pga-core`'s blanket impl; this forwards migration.
+impl<D: Deme + ?Sized> Deme for Box<D> {
+    type Genome = D::Genome;
 
-    fn step_deme(&mut self) -> StepReport {
-        (**self).step_deme()
-    }
     fn objective(&self) -> Objective {
         (**self).objective()
     }
-    fn generation(&self) -> u64 {
-        (**self).generation()
-    }
-    fn evaluations(&self) -> u64 {
-        (**self).evaluations()
-    }
-    fn best_individual(&self) -> Individual<G> {
+    fn best_individual(&self) -> Individual<D::Genome> {
         (**self).best_individual()
     }
-    fn is_optimal(&self) -> bool {
-        (**self).is_optimal()
-    }
-    fn emigrants(&mut self, selection: EmigrantSelection, count: usize) -> Vec<Individual<G>> {
+    fn emigrants(
+        &mut self,
+        selection: EmigrantSelection,
+        count: usize,
+    ) -> Vec<Individual<D::Genome>> {
         (**self).emigrants(selection, count)
     }
     fn emigrant_batches(
@@ -235,15 +168,19 @@ impl<G: Genome> Deme for Box<dyn Deme<Genome = G>> {
         selection: EmigrantSelection,
         count: usize,
         copies: usize,
-    ) -> Vec<Vec<Individual<G>>> {
+    ) -> Vec<Vec<Individual<D::Genome>>> {
         (**self).emigrant_batches(selection, count, copies)
     }
-    fn immigrate(&mut self, immigrants: Vec<Individual<G>>, policy: ReplacementPolicy) -> usize {
+    fn immigrate(
+        &mut self,
+        immigrants: Vec<Individual<D::Genome>>,
+        policy: ReplacementPolicy,
+    ) -> usize {
         (**self).immigrate(immigrants, policy)
     }
     fn immigrate_batch(
         &mut self,
-        immigrants: &mut Vec<Individual<G>>,
+        immigrants: &mut Vec<Individual<D::Genome>>,
         policy: ReplacementPolicy,
     ) -> usize {
         (**self).immigrate_batch(immigrants, policy)
@@ -254,18 +191,6 @@ impl<G: Genome> Deme for Box<dyn Deme<Genome = G>> {
     fn set_trace_island(&mut self, island: u32) {
         (**self).set_trace_island(island);
     }
-    fn record_run_started(&mut self) {
-        (**self).record_run_started();
-    }
-    fn record_run_finished(&mut self) {
-        (**self).record_run_finished();
-    }
-    fn snapshot_deme(&self) -> Snapshot {
-        (**self).snapshot_deme()
-    }
-    fn restore_deme(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        (**self).restore_deme(snapshot)
-    }
 }
 
 #[cfg(test)]
@@ -274,6 +199,7 @@ mod tests {
     use pga_core::ops::{BitFlip, OnePoint, Tournament};
     use pga_core::{BitString, GaBuilder, Rng64, Scheme};
     use std::sync::Arc;
+    use std::time::Duration;
 
     struct OneMax(usize);
     impl Problem for OneMax {
@@ -310,8 +236,8 @@ mod tests {
     #[test]
     fn ga_implements_deme() {
         let mut deme = ga();
-        let s0 = Deme::evaluations(&deme);
-        let stats = deme.step_deme();
+        let s0 = deme.progress(Duration::ZERO).evaluations;
+        let stats = deme.step();
         assert_eq!(stats.generation, 1);
         assert!(stats.evaluations > s0);
         assert!(stats.best >= stats.mean);
@@ -325,8 +251,8 @@ mod tests {
     #[test]
     fn boxed_deme_dispatches() {
         let mut demes: Vec<Box<dyn Deme<Genome = BitString>>> = vec![Box::new(ga())];
-        let stats = demes[0].step_deme();
+        let stats = demes[0].step();
         assert_eq!(stats.generation, 1);
-        assert!(!demes[0].is_optimal() || stats.best == 32.0);
+        assert!(!demes[0].progress(Duration::ZERO).best_is_optimal || stats.best == 32.0);
     }
 }

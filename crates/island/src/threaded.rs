@@ -32,7 +32,7 @@ use pga_observe::{Event, EventKind};
 use pga_topology::Topology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 type Batch<G> = Vec<Individual<G>>;
 
@@ -213,10 +213,10 @@ pub fn run_threaded_resilient<D: Deme>(
                 let mut resurrections = 0u64;
                 let mut generation = 0u64;
                 let maximizing = deme.objective() == Objective::Maximize;
-                let mut best_local = deme.best_individual().fitness();
+                let mut best_local = deme.progress(Duration::ZERO).best_fitness;
                 let mut best_cached = deme.best_individual();
-                let mut hit_cached = deme.is_optimal();
-                let mut evals_cached = deme.evaluations();
+                let mut hit_cached = deme.progress(Duration::ZERO).best_is_optimal;
+                let mut evals_cached = deme.progress(Duration::ZERO).evaluations;
                 let mut stagnant = 0u64;
                 let mut injection_armed = panic_at.is_some();
                 let mut last_beat = start.elapsed();
@@ -224,7 +224,7 @@ pub fn run_threaded_resilient<D: Deme>(
 
                 // Seed the global counter with this island's initial
                 // population evaluations.
-                spent.fetch_add(deme.evaluations(), Ordering::Relaxed);
+                spent.fetch_add(deme.progress(Duration::ZERO).evaluations, Ordering::Relaxed);
                 deme.record_run_started();
 
                 let mut checkpoint: Option<IslandCheckpoint<D::Genome>> = None;
@@ -240,7 +240,7 @@ pub fn run_threaded_resilient<D: Deme>(
                      best_cached: &Individual<D::Genome>,
                      hit_cached: bool,
                      evals_cached: u64| IslandCheckpoint {
-                        snapshot: deme.snapshot_deme(),
+                        snapshot: deme.snapshot(),
                         generation,
                         best_local,
                         stagnant,
@@ -308,15 +308,18 @@ pub fn run_threaded_resilient<D: Deme>(
                             injection_armed = false;
                             panic!("injected island panic (MigrationFaultPlan)");
                         }
-                        let before = deme.evaluations();
-                        let stats = deme.step_deme();
+                        let before = deme.progress(Duration::ZERO).evaluations;
+                        let stats = deme.step();
                         generation += 1;
-                        spent.fetch_add(deme.evaluations() - before, Ordering::Relaxed);
-                        evals_cached = deme.evaluations();
+                        spent.fetch_add(
+                            deme.progress(Duration::ZERO).evaluations - before,
+                            Ordering::Relaxed,
+                        );
+                        evals_cached = deme.progress(Duration::ZERO).evaluations;
                         if record_history {
                             history.push(stats);
                         }
-                        let now_best = deme.best_individual().fitness();
+                        let now_best = deme.progress(Duration::ZERO).best_fitness;
                         if (maximizing && now_best > best_local)
                             || (!maximizing && now_best < best_local)
                         {
@@ -326,7 +329,7 @@ pub fn run_threaded_resilient<D: Deme>(
                         } else {
                             stagnant += 1;
                         }
-                        if deme.is_optimal() {
+                        if deme.progress(Duration::ZERO).best_is_optimal {
                             hit_cached = true;
                             found.store(true, Ordering::Relaxed);
                             if termination.stops_at_target() {
@@ -357,7 +360,7 @@ pub fn run_threaded_resilient<D: Deme>(
                                     offered,
                                     accepted: here,
                                 }));
-                                let now_best = deme.best_individual().fitness();
+                                let now_best = deme.progress(Duration::ZERO).best_fitness;
                                 if (maximizing && now_best > best_local)
                                     || (!maximizing && now_best < best_local)
                                 {
@@ -365,7 +368,7 @@ pub fn run_threaded_resilient<D: Deme>(
                                     best_cached = deme.best_individual();
                                     stagnant = 0;
                                 }
-                                if deme.is_optimal() {
+                                if deme.progress(Duration::ZERO).best_is_optimal {
                                     hit_cached = true;
                                     found.store(true, Ordering::Relaxed);
                                     if termination.stops_at_target() {
@@ -490,7 +493,7 @@ pub fn run_threaded_resilient<D: Deme>(
                                     offered,
                                     accepted: here,
                                 }));
-                                let now_best = deme.best_individual().fitness();
+                                let now_best = deme.progress(Duration::ZERO).best_fitness;
                                 if (maximizing && now_best > best_local)
                                     || (!maximizing && now_best < best_local)
                                 {
@@ -498,7 +501,7 @@ pub fn run_threaded_resilient<D: Deme>(
                                     best_cached = deme.best_individual();
                                     stagnant = 0;
                                 }
-                                if deme.is_optimal() {
+                                if deme.progress(Duration::ZERO).best_is_optimal {
                                     hit_cached = true;
                                     found.store(true, Ordering::Relaxed);
                                 }
@@ -541,7 +544,7 @@ pub fn run_threaded_resilient<D: Deme>(
                                 && respawns_left > 0
                                 && checkpoint
                                     .as_ref()
-                                    .is_some_and(|cp| deme.restore_deme(&cp.snapshot).is_ok());
+                                    .is_some_and(|cp| deme.restore(&cp.snapshot).is_ok());
                             if revived {
                                 respawns_left -= 1;
                                 resurrections += 1;
@@ -586,9 +589,9 @@ pub fn run_threaded_resilient<D: Deme>(
                     let _ = status.send(Status::Finished { island });
                     deme.record_run_finished();
                     best_cached = deme.best_individual();
-                    hit_cached = deme.is_optimal();
-                    generation = deme.generation();
-                    evals_cached = deme.evaluations();
+                    hit_cached = deme.progress(Duration::ZERO).best_is_optimal;
+                    generation = deme.progress(Duration::ZERO).generations;
+                    evals_cached = deme.progress(Duration::ZERO).evaluations;
                 }
                 IslandOutcome {
                     best: best_cached,

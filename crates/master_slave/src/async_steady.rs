@@ -26,21 +26,22 @@
 //!   real arrival order, which is the whole point: throughput under
 //!   heterogeneous evaluation costs beats any batch schedule.
 //!
-//! Search behaviour intentionally reuses the exact steady-state recipe of
-//! [`pga_core::Ga`] (same operator call order, same RNG discipline), so a
-//! sync-vs-async comparison isolates the barrier rather than the variation
-//! pipeline.
+//! Search behaviour breeds through the same steady-state step as
+//! [`pga_core::Ga`] ([`breed_one`]: same operator call order, same RNG
+//! discipline), so a sync-vs-async comparison isolates the barrier rather
+//! than the variation pipeline. Counters, best-ever, stagnation and
+//! events live in the shared [`RunLedger`].
 
 use crate::resilient::{spawn_worker, Report, Task};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pga_cluster::{AsyncDispatchSim, ClusterSpec, EvalCostModel, FaultPlan};
-use pga_core::ops::{Crossover, Mutation, ReplacementPolicy, Selection};
+use pga_core::ops::{breed_one, Crossover, Mutation, ReplacementPolicy, Selection};
 use pga_core::{
     Clock, ConfigError, Driver, Engine, Genome, Incumbent, Individual, PollReport, Population,
-    Problem, Progress, Rng64, RunOutcome, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    Problem, Progress, Rng64, RunLedger, RunOutcome, Snapshot, SnapshotError, SnapshotWriter,
     StepReport, Termination,
 };
-use pga_observe::{Event, EventKind, Recorder};
+use pga_observe::{EventKind, Recorder};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,7 +64,7 @@ fn master_worker_id(workers: usize) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// Everything the steady-state search owns: population, operators, RNG,
-/// counters, recorder. Kept separate from the dispatch backend so stepping
+/// and the run ledger. Kept separate from the dispatch backend so stepping
 /// can borrow both halves simultaneously.
 struct Search<P: Problem> {
     problem: Arc<P>,
@@ -72,142 +73,62 @@ struct Search<P: Problem> {
     mutation: Box<dyn Mutation<P::Genome>>,
     replacement: ReplacementPolicy,
     crossover_rate: f64,
-    seed: u64,
     rng: Rng64,
     population: Population<P::Genome>,
-    generation: u64,
-    evaluations: u64,
+    ledger: RunLedger<P::Genome>,
     /// Results folded since the last generation boundary.
     folded_in_step: u64,
     /// Global 0-based fold sequence number (the arrival-log position).
     fold_seq: u64,
+    /// Whether a fold since the last generation boundary improved the best.
     improved_in_step: bool,
-    stagnant_generations: u64,
-    best_ever: Individual<P::Genome>,
-    optimum_traced: bool,
-    trace_island: u32,
-    recorder: Option<Box<dyn Recorder>>,
 }
 
 impl<P: Problem> Search<P> {
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(r) = &mut self.recorder {
-            r.record(&Event::new(kind));
-        }
-    }
-
-    /// Breeds one offspring with the exact `Ga` steady-state recipe:
-    /// two selections, rate-gated crossover (first child), mutation.
+    /// Breeds one offspring with `Ga`'s steady-state step.
     fn breed(&mut self) -> P::Genome {
-        let objective = self.problem.objective();
-        let pa = self
-            .selection
-            .select(&self.population, objective, &mut self.rng);
-        let pb = self
-            .selection
-            .select(&self.population, objective, &mut self.rng);
-        let (ga, gb) = (&self.population[pa].genome, &self.population[pb].genome);
-        let (mut child, _) = if self.rng.chance(self.crossover_rate) {
-            self.crossover.crossover(ga, gb, &mut self.rng)
-        } else {
-            (ga.clone(), gb.clone())
-        };
-        self.mutation.mutate(&mut child, &mut self.rng);
-        child
+        breed_one(
+            &self.population,
+            self.problem.objective(),
+            self.selection.as_ref(),
+            self.crossover.as_ref(),
+            self.mutation.as_ref(),
+            self.crossover_rate,
+            &mut self.rng,
+        )
     }
 
     /// Folds one arrived evaluation into the population — the async hot
     /// path. Never waits for anything.
     fn fold(&mut self, worker: u32, genome: P::Genome, fitness: f64, clock_micros: u64) {
         let objective = self.problem.objective();
-        let child = Individual::evaluated(genome, fitness);
-        self.evaluations += 1;
+        self.ledger.count_evaluations(1);
         self.folded_in_step += 1;
-        if objective.better(child.fitness(), self.best_ever.fitness()) {
-            self.best_ever = child.clone();
-            self.improved_in_step = true;
-        }
-        self.replacement
-            .insert(&mut self.population, child, objective, &mut self.rng);
+        self.improved_in_step |= self.ledger.offer(&genome, fitness);
+        self.replacement.insert(
+            &mut self.population,
+            Individual::evaluated(genome, fitness),
+            objective,
+            &mut self.rng,
+        );
         let seq = self.fold_seq;
         self.fold_seq += 1;
-        if self.recorder.is_some() {
-            self.emit(EventKind::AsyncFold {
-                island: self.trace_island,
-                seq,
-                worker,
-                clock_micros,
-            });
-        }
+        let island = self.ledger.trace_island();
+        self.ledger.emit(EventKind::AsyncFold {
+            island,
+            seq,
+            worker,
+            clock_micros,
+        });
     }
 
     /// Closes one generation-equivalent (`pop_size` folds) and reports it.
     fn finish_generation(&mut self) -> StepReport {
-        self.generation += 1;
-        if self.improved_in_step {
-            self.stagnant_generations = 0;
-        } else {
-            self.stagnant_generations += 1;
-        }
-        self.improved_in_step = false;
+        let improved = std::mem::take(&mut self.improved_in_step);
         self.folded_in_step = 0;
-        let report = self.gen_report();
-        if self.recorder.is_some() {
-            self.emit(EventKind::GenerationCompleted {
-                island: self.trace_island,
-                generation: report.generation,
-                evaluations: report.evaluations,
-                best: report.best,
-                mean: report.mean,
-                best_ever: report.best_ever,
-            });
-        }
-        // Tracked unconditionally so snapshot bytes do not depend on
-        // whether a recorder is attached; `emit` no-ops without one.
-        if !self.optimum_traced && self.problem.is_optimal(report.best_ever) {
-            self.optimum_traced = true;
-            self.emit(EventKind::CheckpointHit {
-                island: self.trace_island,
-                generation: report.generation,
-                best: report.best_ever,
-            });
-        }
-        report
-    }
-
-    fn gen_report(&self) -> StepReport {
         let pop = self.population.stats(self.problem.objective());
-        StepReport {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            best: pop.best,
-            mean: pop.mean,
-            best_ever: self.best_ever.fitness(),
-        }
-    }
-
-    fn progress(&self, elapsed: Duration) -> Progress {
-        Progress {
-            generations: self.generation,
-            evaluations: self.evaluations,
-            best_fitness: self.best_ever.fitness(),
-            best_is_optimal: self.problem.is_optimal(self.best_ever.fitness()),
-            stagnant_generations: self.stagnant_generations,
-            elapsed,
-            maximizing: self.problem.objective() == pga_core::Objective::Maximize,
-            cost_units: self.evaluations as f64,
-        }
-    }
-
-    fn put_individual(w: &mut SnapshotWriter, member: &Individual<P::Genome>) {
-        member.genome.encode(w);
-        w.put_opt_f64(member.fitness);
-    }
-
-    fn take_individual(r: &mut SnapshotReader<'_>) -> Result<Individual<P::Genome>, SnapshotError> {
-        let genome = P::Genome::decode(r)?;
-        let fitness = r.take_opt_f64()?;
-        Ok(Individual { genome, fitness })
+        self.ledger
+            .close_generation(&*self.problem, improved, pop.best, pop.mean)
     }
 }
 
@@ -477,38 +398,18 @@ impl<P: Problem> AsyncSteadyStateGa<P> {
         Driver::new(termination.clone()).run(self)
     }
 
-    /// Attaches an event recorder. Purely observational: attaching or
-    /// detaching one never changes search results or snapshot bytes.
-    pub fn set_recorder(&mut self, recorder: impl Recorder + 'static) {
-        self.search.recorder = Some(Box::new(recorder));
-    }
-
-    /// Detaches the recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.search.recorder.take()
-    }
-
-    /// Island id stamped on emitted events (0 by default).
-    pub fn set_trace_island(&mut self, island: u32) {
-        self.search.trace_island = island;
-    }
-
-    /// Generation-equivalents completed so far.
+    /// Counters (generation-equivalents completed, evaluations folded
+    /// including the initial population), best individual ever folded,
+    /// and recorder.
     #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.search.generation
+    pub fn ledger(&self) -> &RunLedger<P::Genome> {
+        &self.search.ledger
     }
 
-    /// Fitness evaluations folded so far (including the initial population).
-    #[must_use]
-    pub fn evaluations(&self) -> u64 {
-        self.search.evaluations
-    }
-
-    /// Best individual ever folded.
-    #[must_use]
-    pub fn best_ever(&self) -> &Individual<P::Genome> {
-        &self.search.best_ever
+    /// Mutable ledger access, to attach a recorder or set the island id
+    /// stamped on events.
+    pub fn ledger_mut(&mut self) -> &mut RunLedger<P::Genome> {
+        &mut self.search.ledger
     }
 
     /// The current population.
@@ -540,7 +441,7 @@ impl<P: Problem> Incumbent for AsyncSteadyStateGa<P> {
     type Best = Individual<P::Genome>;
 
     fn best(&self) -> Self::Best {
-        self.search.best_ever.clone()
+        self.search.ledger.best_ever().clone()
     }
 }
 
@@ -574,7 +475,7 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
     }
 
     fn progress(&self, elapsed: Duration) -> Progress {
-        self.search.progress(elapsed)
+        self.search.ledger.progress(&*self.search.problem, elapsed)
     }
 
     fn clock(&self) -> Clock {
@@ -585,70 +486,36 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
     }
 
     fn record_run_started(&mut self) {
-        if self.search.recorder.is_some() {
-            let engine = format!(
-                "async-steady-{}",
-                match &self.backend {
-                    Backend::Virtual(_) => "virtual",
-                    Backend::Threaded(_) => "threaded",
-                }
-            );
-            let problem = self.search.problem.name();
-            let (island, seed) = (self.search.trace_island, self.search.seed);
-            self.search.emit(EventKind::RunStarted {
-                island,
-                engine,
-                problem,
-                seed,
-            });
-        }
+        let backend = match &self.backend {
+            Backend::Virtual(_) => "virtual",
+            Backend::Threaded(_) => "threaded",
+        };
+        let s = &mut self.search;
+        s.ledger
+            .record_run_started(&*s.problem, || format!("async-steady-{backend}"));
     }
 
     fn record_run_finished(&mut self) {
-        if self.search.recorder.is_some() {
-            let best = self.search.best_ever.fitness();
-            let kind = EventKind::RunFinished {
-                island: self.search.trace_island,
-                generations: self.search.generation,
-                evaluations: self.search.evaluations,
-                best,
-                hit_optimum: self.search.problem.is_optimal(best),
-            };
-            self.search.emit(kind);
-            if let Some(r) = &mut self.search.recorder {
-                r.flush();
-            }
-        }
+        let s = &mut self.search;
+        s.ledger.record_run_finished(&*s.problem);
     }
 
     fn snapshot(&self) -> Snapshot {
         let s = &self.search;
         let mut w = SnapshotWriter::new();
-        w.put_u64(s.generation);
-        w.put_u64(s.evaluations);
-        w.put_u64(s.stagnant_generations);
+        s.ledger.encode(&mut w);
         w.put_u64(s.folded_in_step);
         w.put_u64(s.fold_seq);
-        w.put_bool(s.optimum_traced);
         w.put_bool(s.improved_in_step);
-        let (state, spare) = s.rng.snapshot_state();
-        for word in state {
-            w.put_u64(word);
-        }
-        w.put_opt_f64(spare);
-        Search::<P>::put_individual(&mut w, &s.best_ever);
+        w.put_rng(&s.rng);
         w.put_usize(s.population.len());
         for member in s.population.members() {
-            Search::<P>::put_individual(&mut w, member);
+            member.encode(&mut w);
         }
         match &self.backend {
             Backend::Virtual(v) => {
                 w.put_u8(0);
-                let (state, spare) = v.cost_rng.snapshot_state();
-                for word in state {
-                    w.put_u64(word);
-                }
-                w.put_opt_f64(spare);
+                w.put_rng(&v.cost_rng);
                 w.put_f64(v.clock);
                 let (free_at, link_free) = v.sim.export_state();
                 w.put_usize(free_at.len());
@@ -688,23 +555,15 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snapshot.reader_for("async-steady")?;
-        let generation = r.take_u64()?;
-        let evaluations = r.take_u64()?;
-        let stagnant_generations = r.take_u64()?;
+        let ledger = RunLedger::decode(&mut r)?;
         let folded_in_step = r.take_u64()?;
         let fold_seq = r.take_u64()?;
-        let optimum_traced = r.take_bool()?;
         let improved_in_step = r.take_bool()?;
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.take_u64()?;
-        }
-        let spare = r.take_opt_f64()?;
-        let best_ever = Search::<P>::take_individual(&mut r)?;
+        let rng = r.take_rng()?;
         let len = r.take_usize()?;
         let mut members = Vec::new();
         for _ in 0..len {
-            members.push(Search::<P>::take_individual(&mut r)?);
+            members.push(Individual::decode(&mut r)?);
         }
         if members.len() != self.search.population.len() {
             return Err(SnapshotError::Invalid(format!(
@@ -715,11 +574,7 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
         let kind = r.take_u8()?;
         match (&mut self.backend, kind) {
             (Backend::Virtual(v), 0) => {
-                let mut cost_state = [0u64; 4];
-                for word in &mut cost_state {
-                    *word = r.take_u64()?;
-                }
-                let cost_spare = r.take_opt_f64()?;
+                let cost_rng = r.take_rng()?;
                 let clock = r.take_f64()?;
                 let nodes = r.take_usize()?;
                 if nodes != v.in_flight.len() {
@@ -744,7 +599,7 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
                     }
                 }
                 r.finish()?;
-                v.cost_rng = Rng64::from_snapshot_state(cost_state, cost_spare);
+                v.cost_rng = cost_rng;
                 v.clock = clock;
                 v.sim.import_state(free_at, link_free);
                 v.in_flight = in_flight;
@@ -770,15 +625,11 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
             }
         }
         let s = &mut self.search;
-        s.generation = generation;
-        s.evaluations = evaluations;
-        s.stagnant_generations = stagnant_generations;
+        s.ledger.restore(ledger);
         s.folded_in_step = folded_in_step;
         s.fold_seq = fold_seq;
-        s.optimum_traced = optimum_traced;
         s.improved_in_step = improved_in_step;
-        s.rng = Rng64::from_snapshot_state(state, spare);
-        s.best_ever = best_ever;
+        s.rng = rng;
         s.population = Population::new(members);
         Ok(())
     }
@@ -1026,6 +877,13 @@ impl<P: Problem> AsyncSteadyBuilder<P> {
             }
         };
 
+        let ledger = RunLedger::new(
+            &*self.problem,
+            self.seed,
+            self.pop_size as u64,
+            best_ever,
+            self.recorder,
+        );
         Ok(AsyncSteadyStateGa {
             search: Search {
                 problem: self.problem,
@@ -1034,19 +892,12 @@ impl<P: Problem> AsyncSteadyBuilder<P> {
                 mutation,
                 replacement: self.replacement,
                 crossover_rate: self.crossover_rate,
-                seed: self.seed,
                 rng,
-                evaluations: self.pop_size as u64,
                 population,
-                generation: 0,
+                ledger,
                 folded_in_step: 0,
                 fold_seq: 0,
                 improved_in_step: false,
-                stagnant_generations: 0,
-                best_ever,
-                optimum_traced: false,
-                trace_island: 0,
-                recorder: self.recorder,
             },
             backend,
         })
@@ -1136,11 +987,11 @@ mod tests {
     #[test]
     fn virtual_search_improves() {
         let mut e = virtual_engine(11);
-        let start = e.best_ever().fitness();
+        let start = e.ledger().best_ever().fitness();
         for _ in 0..60 {
             e.step();
         }
-        assert!(e.best_ever().fitness() > start);
+        assert!(e.ledger().best_ever().fitness() > start);
     }
 
     #[test]
@@ -1183,7 +1034,7 @@ mod tests {
     fn recorder_sees_async_folds() {
         let ring = RingRecorder::new(4096);
         let mut e = virtual_engine(13);
-        e.set_recorder(ring.clone());
+        e.ledger_mut().set_recorder(ring.clone());
         e.record_run_started();
         e.step();
         e.record_run_finished();

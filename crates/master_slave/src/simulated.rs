@@ -98,7 +98,7 @@ impl<P: Problem, E: Evaluator<P>> SimulatedMasterSlaveGa<P, E> {
         }
         let cluster_size = spec.len();
         let sim = MasterSlaveSim::new(spec, failures);
-        let initial_evals = ga.evaluations();
+        let initial_evals = ga.ledger().evaluations();
         let mut s = Self {
             ga,
             sim,
@@ -115,7 +115,7 @@ impl<P: Problem, E: Evaluator<P>> SimulatedMasterSlaveGa<P, E> {
             island: 0,
             engine: "master-slave-sim".into(),
             problem: ga.problem().name(),
-            seed: ga.seed(),
+            seed: ga.ledger().seed(),
         });
         s.charge_batch(initial_evals);
         Ok(s)
@@ -207,8 +207,8 @@ impl<P: Problem, E: Evaluator<P>> SimulatedMasterSlaveGa<P, E> {
         let outcome = Driver::new(termination.clone()).run(&mut self)?;
         Ok(VirtualRunReport {
             virtual_seconds: self.clock,
-            generations: self.ga.generation(),
-            evaluations: self.ga.evaluations(),
+            generations: self.ga.ledger().generation(),
+            evaluations: self.ga.ledger().evaluations(),
             best_fitness: outcome.best_fitness,
             reassignments: self.reassignments,
             dead_nodes: self.dead_nodes(),
@@ -222,7 +222,7 @@ impl<P: Problem, E: Evaluator<P>> Incumbent for SimulatedMasterSlaveGa<P, E> {
     type Best = Individual<P::Genome>;
 
     fn best(&self) -> Individual<P::Genome> {
-        self.ga.best_ever().clone()
+        self.ga.ledger().best_ever().clone()
     }
 }
 
@@ -235,9 +235,9 @@ impl<P: Problem, E: Evaluator<P>> Engine for SimulatedMasterSlaveGa<P, E> {
     /// clock. When the cluster can no longer complete a batch (all nodes
     /// dead) the engine marks itself halted — see [`Engine::halted`].
     fn step(&mut self) -> StepReport {
-        let before = self.ga.evaluations();
+        let before = self.ga.ledger().evaluations();
         let stats = self.ga.step();
-        let evals = self.ga.evaluations() - before;
+        let evals = self.ga.ledger().evaluations() - before;
         if !self.charge_batch(evals) {
             self.halted = true;
         }
@@ -269,11 +269,11 @@ impl<P: Problem, E: Evaluator<P>> Engine for SimulatedMasterSlaveGa<P, E> {
     // `RunStarted` at construction, before the initial batch is charged.
 
     fn record_run_finished(&mut self) {
-        let best = self.ga.best_ever().fitness();
+        let best = self.ga.ledger().best_ever().fitness();
         self.emit(Time::Sim(self.clock), |ga| EventKind::RunFinished {
             island: 0,
-            generations: ga.generation(),
-            evaluations: ga.evaluations(),
+            generations: ga.ledger().generation(),
+            evaluations: ga.ledger().evaluations(),
             best,
             hit_optimum: ga.problem().is_optimal(best),
         });

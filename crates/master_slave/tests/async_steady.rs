@@ -84,7 +84,11 @@ fn equal_seed_virtual_runs_are_bit_identical() {
         for _ in 0..20 {
             e.step();
         }
-        (e.evaluations(), e.virtual_clock(), e.snapshot().to_bytes())
+        (
+            e.ledger().evaluations(),
+            e.virtual_clock(),
+            e.snapshot().to_bytes(),
+        )
     };
     assert_eq!(run(42), run(42));
     let (_, clock, a) = run(42);
@@ -139,8 +143,8 @@ fn stalled_worker_does_not_block_the_others() {
         e.step();
     }
     let elapsed = start.elapsed();
-    assert_eq!(e.generation(), 3);
-    assert_eq!(e.evaluations(), 24 + 3 * 24);
+    assert_eq!(e.ledger().generation(), 3);
+    assert_eq!(e.ledger().evaluations(), 24 + 3 * 24);
     assert!(
         elapsed < Duration::from_millis(600),
         "folding stalled behind the slow worker: {elapsed:?}"
@@ -158,10 +162,10 @@ fn threaded_folds_are_conserved_across_arrival_orders() {
         let mut e = threaded_engine(seed, 4, FaultPlan::none(4));
         for g in 1..=5u64 {
             e.step();
-            assert_eq!(e.generation(), g);
-            assert_eq!(e.evaluations(), 24 + g * 24);
+            assert_eq!(e.ledger().generation(), g);
+            assert_eq!(e.ledger().evaluations(), 24 + g * 24);
         }
-        let best = e.best_ever().fitness();
+        let best = e.ledger().best_ever().fitness();
         assert!((0.0..=64.0).contains(&best));
         assert!(
             e.population().members().iter().all(|m| m.fitness.is_some()),
@@ -181,7 +185,7 @@ fn async_throughput_matches_or_beats_sync_at_equal_virtual_time() {
         e.step();
     }
     let clock = e.virtual_clock().expect("virtual clock");
-    let folded = (e.evaluations() - 32) as f64;
+    let folded = (e.ledger().evaluations() - 32) as f64;
     let async_rate = folded / clock;
 
     // Synchronous lower bound on batch makespan: every batch of `pop`

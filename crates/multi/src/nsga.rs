@@ -320,11 +320,7 @@ impl<P: MoProblem> Engine for MoEngine<P> {
 
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
-        let (state, spare) = self.rng.snapshot_state();
-        for s in state {
-            w.put_u64(s);
-        }
-        w.put_opt_f64(spare);
+        w.put_rng(&self.rng);
         w.put_u64(self.generation);
         w.put_u64(self.evaluations);
         w.put_u64(self.stagnant_generations);
@@ -342,8 +338,7 @@ impl<P: MoProblem> Engine for MoEngine<P> {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snapshot.reader_for(self.engine_id())?;
-        let state = [r.take_u64()?, r.take_u64()?, r.take_u64()?, r.take_u64()?];
-        let spare = r.take_opt_f64()?;
+        let rng = r.take_rng()?;
         let generation = r.take_u64()?;
         let evaluations = r.take_u64()?;
         let stagnant_generations = r.take_u64()?;
@@ -372,7 +367,7 @@ impl<P: MoProblem> Engine for MoEngine<P> {
             population.push(MoIndividual { genome, objectives });
         }
         r.finish()?;
-        self.rng = Rng64::from_snapshot_state(state, spare);
+        self.rng = rng;
         self.generation = generation;
         self.evaluations = evaluations;
         self.stagnant_generations = stagnant_generations;

@@ -396,7 +396,7 @@ pub fn default_registries() -> Registries {
                 .build()
                 .map_err(config_err)?;
             if let Some(s) = ctx.stream {
-                ga.set_recorder(s);
+                ga.ledger_mut().set_recorder(s);
             }
             Ok(Box::new(ga))
         },
@@ -419,7 +419,7 @@ pub fn default_registries() -> Registries {
                 .build()
                 .map_err(config_err)?;
             if let Some(s) = ctx.stream {
-                ga.set_recorder(s);
+                ga.ledger_mut().set_recorder(s);
             }
             Ok(Box::new(ga))
         },
@@ -442,7 +442,7 @@ pub fn default_registries() -> Registries {
                 .build()
                 .map_err(config_err)?;
             if let Some(s) = ctx.stream {
-                cga.set_recorder(s);
+                cga.ledger_mut().set_recorder(s);
             }
             Ok(Box::new(cga))
         },
@@ -473,7 +473,7 @@ pub fn default_registries() -> Registries {
                         .build()
                         .map_err(config_err)?;
                     if let Some(s) = &ctx.stream {
-                        ga.set_recorder(s.clone());
+                        ga.ledger_mut().set_recorder(s.clone());
                     }
                     Ok(ga)
                 })
@@ -512,7 +512,7 @@ pub fn default_registries() -> Registries {
                 .build()
                 .map_err(config_err)?;
             if let Some(s) = ctx.stream {
-                ga.set_recorder(s);
+                ga.ledger_mut().set_recorder(s);
             }
             Ok(Box::new(ga))
         },

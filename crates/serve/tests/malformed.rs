@@ -10,13 +10,14 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use pga_core::snapshot::SnapshotWriter;
 use pga_serve::protocol::Json;
 use pga_serve::{
-    build_engine, Budget, EngineSpec, JobSpec, ProblemSpec, Serve, ServeBuilder, Spool,
+    build_engine, Budget, EngineSpec, JobId, JobProgress, JobRecord, JobSpec, JobState,
+    ProblemSpec, Serve, ServeBuilder, Spool,
 };
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -302,6 +303,44 @@ fn old_layout_frame(id: u64, spec: &JobSpec) -> Vec<u8> {
     frame
 }
 
+/// Job `id`'s frame in the current spool layout, except that its nested
+/// engine snapshot carries PGAS version byte 2: the layout before the
+/// run-ledger block led every ledger engine's payload. The header check
+/// rejects it before its checksum is read.
+fn nested_v2_frame(dir: &Path, id: u64, spec: &JobSpec) -> Vec<u8> {
+    let engine = build_engine(spec, None).expect("spec builds");
+    let snapshot = engine.snapshot();
+    let nested_len = snapshot.to_bytes().len();
+    let progress = engine.progress(Duration::ZERO);
+    let record = JobRecord {
+        id: JobId(id),
+        spec: spec.clone(),
+        state: JobState::Queued,
+        slices: 0,
+        steps: 0,
+        consumed: Duration::ZERO,
+        retries: 0,
+        progress: JobProgress {
+            generations: progress.generations,
+            evaluations: progress.evaluations,
+            best_fitness: progress.best_fitness,
+            best_is_optimal: progress.best_is_optimal,
+        },
+        engine_snapshot: Some(snapshot),
+    };
+    let scratch = dir.with_extension(format!("frame-{id}"));
+    Spool::open(&scratch)
+        .expect("scratch spool opens")
+        .save(&record)
+        .expect("frame saved");
+    let mut frame = std::fs::read(scratch.join("spool-0")).expect("frame read");
+    let _ = std::fs::remove_dir_all(&scratch);
+    let version_at = frame.len() - nested_len + 4;
+    assert_eq!(frame[version_at], 3, "the nested snapshot ends the frame");
+    frame[version_at] = 2;
+    frame
+}
+
 #[test]
 fn frames_of_an_older_spool_version_are_skipped_per_job_and_the_server_gets_ready() {
     let dir = temp_dir("old-frames");
@@ -325,6 +364,18 @@ fn frames_of_an_older_spool_version_are_skipped_per_job_and_the_server_gets_read
         };
         segment.extend(old_layout_frame(id, &spec));
     }
+    // A current frame whose engine snapshot predates the ledger block.
+    let spec = JobSpec {
+        tenant: "old".into(),
+        problem: ProblemSpec::onemax(32),
+        engine: EngineSpec::ga(16, 1),
+        seed: 4,
+        budget: Budget {
+            generations: Some(10),
+            ..Budget::default()
+        },
+    };
+    segment.extend(nested_v2_frame(&dir, 4, &spec));
     std::fs::write(dir.join("spool-0"), &segment).expect("segment written");
 
     let scan = Spool::open(&dir)
@@ -332,14 +383,20 @@ fn frames_of_an_older_spool_version_are_skipped_per_job_and_the_server_gets_read
         .load_all()
         .expect("scan never fails on bad frames");
     assert!(scan.records.is_empty());
-    assert_eq!(scan.skipped.len(), 3, "one report per job");
+    assert_eq!(scan.skipped.len(), 4, "one report per job");
     for skipped in &scan.skipped {
         assert!(skipped.message.contains("BadHeader"), "{}", skipped.message);
     }
+    assert!(
+        scan.skipped
+            .iter()
+            .any(|s| s.message.contains("bad engine snapshot")),
+        "the nested version-2 snapshot is the reported fault"
+    );
 
     let (serve, addr) = start(&dir, 1 << 20);
     let report = serve.recover_report();
-    assert_eq!((report.resumed, report.skipped), (0, 3));
+    assert_eq!((report.resumed, report.skipped), (0, 4));
     let ready = request(addr, "GET", "/readyz", b"");
     assert_eq!(ready.code, 200);
     assert!(ready.body.contains("\"ready\":true"));

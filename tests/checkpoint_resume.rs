@@ -7,10 +7,14 @@
 use parallel_ga::cellular::CellularGa;
 use parallel_ga::cluster::{ClusterSpec, EvalCostModel, FailurePlan, NetworkProfile};
 use parallel_ga::compact::{CompactGa, ShardedCompactGa};
-use parallel_ga::core::ops::{BitFlip, BlxAlpha, GaussianMutation, OnePoint, Sbx, Tournament};
-use parallel_ga::core::{Bounds, Engine, Ga, GaBuilder, Scheme, Snapshot, SnapshotError};
+use parallel_ga::core::ops::{
+    BitFlip, BlxAlpha, GaussianMutation, OnePoint, ReplacementPolicy, Sbx, Tournament,
+};
+use parallel_ga::core::{
+    BitString, Bounds, Engine, Ga, GaBuilder, Scheme, Snapshot, SnapshotError,
+};
 use parallel_ga::hierarchical::{BlurredFidelity, Hga, HgaConfig, LevelView};
-use parallel_ga::island::{Archipelago, MigrationPolicy};
+use parallel_ga::island::{Archipelago, Deme, MigrationPolicy};
 use parallel_ga::island::{EmigrantSelection, SyncMode};
 use parallel_ga::master_slave::{AsyncSteadyStateGa, SimulatedMasterSlaveGa};
 use parallel_ga::multiobjective::{MoEngine, Zdt};
@@ -18,38 +22,35 @@ use parallel_ga::problems::{DeceptiveTrap, OneMax, RealFunction, RealProblem};
 use parallel_ga::topology::Topology;
 use std::sync::Arc;
 
-/// Runs `total` steps uninterrupted, then replays the same run as
-/// `split` steps → snapshot → byte roundtrip → restore into a fresh
-/// engine → remaining steps, and asserts the final serialized states are
-/// byte-for-byte equal.
-fn assert_bit_identical_resume<E: Engine>(mut make: impl FnMut() -> E, total: u64, split: u64) {
-    assert!(split < total);
+/// Runs `total` steps uninterrupted, serializing the state at every step
+/// boundary. Then, from each boundary `split` in turn, replays the run as
+/// byte roundtrip → restore into a fresh engine → remaining steps, and
+/// asserts that every later serialized state is byte-for-byte equal to
+/// the uninterrupted run's at the same boundary.
+fn assert_bit_identical_resume<E: Engine>(mut make: impl FnMut() -> E, total: u64) {
     let mut reference = make();
+    let mut boundaries = vec![reference.snapshot().to_bytes()];
     for _ in 0..total {
         reference.step();
+        boundaries.push(reference.snapshot().to_bytes());
     }
-    let expected = reference.snapshot().to_bytes();
-
-    let mut first_leg = make();
-    for _ in 0..split {
-        first_leg.step();
+    for split in 0..boundaries.len() - 1 {
+        let checkpoint =
+            Snapshot::from_bytes(&boundaries[split]).expect("snapshot roundtrips through bytes");
+        let mut resumed = make();
+        resumed
+            .restore(&checkpoint)
+            .expect("restore into an identically configured engine");
+        for (at, expected) in boundaries.iter().enumerate().skip(split + 1) {
+            resumed.step();
+            assert_eq!(
+                &resumed.snapshot().to_bytes(),
+                expected,
+                "run resumed at step {split} diverged at step {at} ({})",
+                reference.engine_id()
+            );
+        }
     }
-    let bytes = first_leg.snapshot().to_bytes();
-    let checkpoint = Snapshot::from_bytes(&bytes).expect("snapshot roundtrips through bytes");
-
-    let mut resumed = make();
-    resumed
-        .restore(&checkpoint)
-        .expect("restore into an identically configured engine");
-    for _ in 0..(total - split) {
-        resumed.step();
-    }
-    assert_eq!(
-        resumed.snapshot().to_bytes(),
-        expected,
-        "resumed run diverged from the uninterrupted run ({})",
-        reference.engine_id()
-    );
 }
 
 fn onemax_ga(seed: u64) -> Ga<Arc<OneMax>> {
@@ -66,7 +67,27 @@ fn onemax_ga(seed: u64) -> Ga<Arc<OneMax>> {
 
 #[test]
 fn sequential_ga_resumes_bit_identically() {
-    assert_bit_identical_resume(|| onemax_ga(11), 20, 7);
+    assert_bit_identical_resume(|| onemax_ga(11), 20);
+}
+
+#[test]
+fn steady_state_ga_resumes_bit_identically() {
+    assert_bit_identical_resume(
+        || {
+            GaBuilder::new(Arc::new(OneMax::new(48)))
+                .seed(13)
+                .pop_size(30)
+                .selection(Tournament::binary())
+                .crossover(OnePoint)
+                .mutation(BitFlip::one_over_len(48))
+                .scheme(Scheme::SteadyState {
+                    replacement: ReplacementPolicy::WorstIfBetter,
+                })
+                .build()
+                .expect("valid configuration")
+        },
+        20,
+    );
 }
 
 #[test]
@@ -90,9 +111,48 @@ fn archipelago_resumes_bit_identically() {
             Archipelago::new(islands, Topology::RingUni, MigrationPolicy::default())
                 .expect("valid island configuration")
         },
-        // Crosses two migration epochs, snapshots mid-epoch.
+        // Crosses four migration epochs; the checkpoints fall mid-epoch
+        // and at epoch boundaries.
         40,
-        19,
+    );
+}
+
+#[test]
+fn mixed_cellular_and_panmictic_archipelago_resumes_bit_identically() {
+    // Boxed demes of two families in one ring: each island's nested
+    // snapshot goes through the box to the engine inside.
+    assert_bit_identical_resume(
+        || {
+            let problem = Arc::new(OneMax::new(48));
+            let mut demes: Vec<Box<dyn Deme<Genome = BitString>>> = Vec::new();
+            for i in 0..2 {
+                demes.push(Box::new(
+                    CellularGa::builder(Arc::clone(&problem))
+                        .grid(5, 5)
+                        .seed(70 + i)
+                        .crossover(OnePoint)
+                        .mutation(BitFlip::one_over_len(48))
+                        .build()
+                        .expect("valid configuration"),
+                ));
+                demes.push(Box::new(
+                    GaBuilder::new(Arc::clone(&problem))
+                        .seed(80 + i)
+                        .pop_size(25)
+                        .selection(Tournament::binary())
+                        .crossover(OnePoint)
+                        .mutation(BitFlip::one_over_len(48))
+                        .build()
+                        .expect("valid configuration"),
+                ));
+            }
+            let policy = MigrationPolicy {
+                interval: 3,
+                ..MigrationPolicy::default()
+            };
+            Archipelago::new(demes, Topology::RingBi, policy).expect("valid island configuration")
+        },
+        16,
     );
 }
 
@@ -109,7 +169,6 @@ fn cellular_ga_resumes_bit_identically() {
                 .expect("valid configuration")
         },
         15,
-        6,
     );
 }
 
@@ -147,7 +206,6 @@ fn hga_resumes_bit_identically() {
             .expect("valid hierarchy configuration")
         },
         10,
-        4,
     );
 }
 
@@ -170,7 +228,6 @@ fn nsga_resumes_bit_identically() {
                 .expect("valid configuration")
         },
         18,
-        9,
     );
 }
 
@@ -188,7 +245,6 @@ fn simulated_master_slave_resumes_bit_identically() {
             .expect("valid cluster configuration")
         },
         16,
-        5,
     );
 }
 
@@ -209,10 +265,10 @@ fn async_steady(seed: u64) -> AsyncSteadyStateGa<Arc<OneMax>> {
 
 #[test]
 fn async_steady_resumes_bit_identically() {
-    // The split point leaves evaluations in flight on the virtual nodes;
+    // Every checkpoint leaves evaluations in flight on the virtual nodes;
     // the snapshot must carry them (and the arrival clock) for the resumed
     // run to fold results in the identical order.
-    assert_bit_identical_resume(|| async_steady(17), 18, 7);
+    assert_bit_identical_resume(|| async_steady(17), 18);
 }
 
 #[test]
@@ -237,16 +293,15 @@ fn overlap_archipelago_resumes_bit_identically() {
                 interval: 8,
                 count: 2,
                 emigrant: EmigrantSelection::Best,
-                replacement: parallel_ga::core::ops::ReplacementPolicy::WorstIfBetter,
+                replacement: ReplacementPolicy::WorstIfBetter,
                 sync: SyncMode::Overlap,
             };
             Archipelago::new(islands, Topology::RingUni, policy)
                 .expect("valid island configuration")
         },
-        // Splits exactly at an epoch boundary, while migrants are in
+        // Checkpoints at epoch boundaries fall while migrants are in
         // flight toward the next generation's replacement point.
         20,
-        8,
     );
 }
 
@@ -262,7 +317,7 @@ fn compact(seed: u64) -> CompactGa<Arc<OneMax>> {
 fn compact_ga_resumes_bit_identically() {
     // The snapshot is just the probability vector + RNG + counters, so the
     // roundtrip exercises the full model state.
-    assert_bit_identical_resume(|| compact(29), 30, 11);
+    assert_bit_identical_resume(|| compact(29), 30);
 }
 
 fn sharded_compact(seed: u64) -> ShardedCompactGa<Arc<OneMax>> {
@@ -277,10 +332,10 @@ fn sharded_compact(seed: u64) -> ShardedCompactGa<Arc<OneMax>> {
 
 #[test]
 fn sharded_compact_ga_resumes_bit_identically() {
-    // The split point leaves the virtual clock mid-run; the snapshot must
+    // Every checkpoint leaves the virtual clock mid-run; the snapshot must
     // carry the per-shard slices and the clock for the resumed run to
     // replay the same gather/broadcast schedule.
-    assert_bit_identical_resume(|| sharded_compact(31), 25, 9);
+    assert_bit_identical_resume(|| sharded_compact(31), 25);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! recorders must not perturb any RNG stream, so instrumented and plain
 //! runs of the same seed must produce identical search results.
 
+use parallel_ga::cellular::{CellularGa, UpdatePolicy};
 use parallel_ga::cluster::{ClusterSpec, EvalCostModel, NetworkProfile};
 use parallel_ga::compact::{CompactGa, ShardedCompactGa};
 use parallel_ga::core::ops::{BitFlip, OnePoint, Tournament};
@@ -131,15 +132,21 @@ fn recorder_attach_detach_does_not_change_async_steady_run() {
         observed.step();
     }
     // Mid-run detach must also be inert.
-    let detached = observed.take_recorder();
+    let detached = observed.ledger_mut().take_recorder();
     assert!(detached.is_some(), "recorder was attached");
     for _ in 0..4 {
         plain.step();
         observed.step();
     }
 
-    assert_eq!(plain.evaluations(), observed.evaluations());
-    assert_eq!(plain.best_ever().fitness(), observed.best_ever().fitness());
+    assert_eq!(
+        plain.ledger().evaluations(),
+        observed.ledger().evaluations()
+    );
+    assert_eq!(
+        plain.ledger().best_ever().fitness(),
+        observed.ledger().best_ever().fitness()
+    );
     assert_eq!(
         plain.snapshot().to_bytes(),
         observed.snapshot().to_bytes(),
@@ -179,7 +186,10 @@ fn recorder_attach_detach_does_not_change_compact_ga_run() {
         observed.step();
     }
     // Mid-run detach must also be inert.
-    assert!(observed.take_recorder().is_some(), "recorder was attached");
+    assert!(
+        observed.ledger_mut().take_recorder().is_some(),
+        "recorder was attached"
+    );
     for _ in 0..10 {
         plain.step();
         observed.step();
@@ -199,6 +209,57 @@ fn recorder_attach_detach_does_not_change_compact_ga_run() {
         generations, 40,
         "one generation_completed per step while attached"
     );
+}
+
+#[test]
+fn recorder_attach_detach_does_not_change_cellular_run() {
+    // The synchronous sweep breeds on the pool and the asynchronous one in
+    // place; neither may let the recorder touch a cell stream.
+    for policy in [UpdatePolicy::Synchronous, UpdatePolicy::UniformChoice] {
+        let build = |ring: Option<RingRecorder>| {
+            let mut b = CellularGa::builder(Arc::new(OneMax::new(GENOME)))
+                .grid(6, 6)
+                .update_policy(policy)
+                .crossover(OnePoint)
+                .mutation(BitFlip::one_over_len(GENOME))
+                .seed(47);
+            if let Some(r) = ring {
+                b = b.recorder(r);
+            }
+            b.build().expect("valid configuration")
+        };
+
+        let mut plain = build(None);
+        let ring = RingRecorder::new(1 << 12);
+        let mut observed = build(Some(ring.clone()));
+        for _ in 0..20 {
+            assert_eq!(plain.step(), observed.step(), "{}", policy.name());
+        }
+        // Mid-run detach must also be inert.
+        assert!(
+            observed.ledger_mut().take_recorder().is_some(),
+            "recorder was attached"
+        );
+        for _ in 0..10 {
+            assert_eq!(plain.step(), observed.step(), "{}", policy.name());
+        }
+
+        assert_eq!(
+            plain.snapshot().to_bytes(),
+            observed.snapshot().to_bytes(),
+            "recorder attach/detach changed the {} cellular trajectory",
+            policy.name()
+        );
+        let generations = ring
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::GenerationCompleted { .. }))
+            .count();
+        assert_eq!(
+            generations, 20,
+            "one generation_completed per sweep while attached"
+        );
+    }
 }
 
 #[test]
@@ -223,7 +284,10 @@ fn recorder_attach_detach_does_not_change_sharded_compact_run() {
         plain.step();
         observed.step();
     }
-    assert!(observed.take_recorder().is_some(), "recorder was attached");
+    assert!(
+        observed.ledger_mut().take_recorder().is_some(),
+        "recorder was attached"
+    );
     for _ in 0..10 {
         plain.step();
         observed.step();

@@ -38,7 +38,7 @@ fn ga_trajectory<E: Evaluator<Arc<OneMax>>>(evaluator: E, seed: u64) -> Vec<(f64
     (0..GENS)
         .map(|_| {
             let s = engine.step();
-            (s.best, s.mean, engine.best_ever().genome.clone())
+            (s.best, s.mean, engine.ledger().best_ever().genome.clone())
         })
         .collect()
 }
@@ -86,7 +86,7 @@ fn cellular_trajectory(workers: usize) -> Vec<(f64, f64, BitString)> {
         (0..30)
             .map(|_| {
                 let s = cga.step();
-                (s.best, s.mean, cga.best_ever().genome.clone())
+                (s.best, s.mean, cga.ledger().best_ever().genome.clone())
             })
             .collect()
     })
