@@ -61,12 +61,9 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event as `(time, event)`.
     #[allow(clippy::should_implement_trait)] // fallible pop, not an Iterator
     pub fn next(&mut self) -> Option<(f64, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
+        let last = self.heap.len().checked_sub(1)?;
         self.heap.swap(0, last);
-        let (key, _, event) = self.heap.pop().expect("checked non-empty");
+        let (key, _, event) = self.heap.pop()?;
         if !self.heap.is_empty() {
             self.sift_down(0);
         }

@@ -14,21 +14,42 @@ use pga_core::termination::{Progress, Termination};
 use pga_core::{ConfigError, RunLedger};
 use pga_observe::Recorder;
 
-/// Samples one genome from a probability vector (one RNG draw per locus,
-/// so the draw count — and hence the stream — is a pure function of the
-/// genome length).
-pub(crate) fn sample_genome(p: &[f64], rng: &mut Rng64) -> BitString {
-    let mut g = BitString::zeros(p.len());
-    for (i, &pi) in p.iter().enumerate() {
-        if rng.chance(pi) {
-            g.set(i, true);
+/// Samples loci `offset..offset + p.len()` of a genome from the marginals
+/// `p` and ORs them into its packed `words` (zero there beforehand).
+///
+/// Draw-order contract: exactly one `chance(p[i])` draw per locus, in locus
+/// order, so the stream is a pure function of the slice length. The draws
+/// that land in one word are packed into a mask and OR'd in at once; a
+/// slice starting mid-word (a pcGA shard) fills that word's upper bits.
+pub(crate) fn sample_into(words: &mut [u64], offset: usize, p: &[f64], rng: &mut Rng64) {
+    let mut i = 0;
+    while i < p.len() {
+        let at = offset + i;
+        let bit = at % 64;
+        let span = (64 - bit).min(p.len() - i);
+        let mut mask = 0u64;
+        for (j, &pj) in p[i..i + span].iter().enumerate() {
+            mask |= u64::from(rng.chance(pj)) << j;
         }
+        words[at / 64] |= mask << bit;
+        i += span;
     }
-    g
 }
 
-/// Shifts every locus where `winner` and `loser` disagree by `step`
-/// toward the winner, clamping to `[0, 1]`. Returns how many loci moved.
+/// Samples one genome from a probability vector (see [`sample_into`] for
+/// the draw order).
+pub(crate) fn sample_genome(p: &[f64], rng: &mut Rng64) -> BitString {
+    let mut words = vec![0; p.len().div_ceil(64)];
+    sample_into(&mut words, 0, p, rng);
+    BitString::from_words(words, p.len())
+}
+
+/// Shifts every locus of `offset..offset + p.len()` where `winner` and
+/// `loser` disagree by `step` toward the winner, clamping to `[0, 1]`.
+/// Returns how many loci moved.
+///
+/// Only disagreeing loci can move, so the kernel walks the set bits of
+/// `winner ^ loser` a word at a time and touches nothing else.
 pub(crate) fn update_slice(
     p: &mut [f64],
     winner: &BitString,
@@ -36,16 +57,34 @@ pub(crate) fn update_slice(
     offset: usize,
     step: f64,
 ) -> usize {
+    let end = offset + p.len();
+    assert!(
+        end <= winner.len() && end <= loser.len(),
+        "update_slice: loci {offset}..{end} outside competitors of {} and {} bits",
+        winner.len(),
+        loser.len()
+    );
+    let (w, l) = (winner.words(), loser.words());
     let mut moved = 0;
-    for (i, pi) in p.iter_mut().enumerate() {
-        let w = winner.get(offset + i);
-        if w != loser.get(offset + i) {
-            *pi = if w {
+    for word in offset / 64..end.div_ceil(64) {
+        let base = word * 64;
+        let mut diff = w[word] ^ l[word];
+        if base < offset {
+            diff &= u64::MAX << (offset - base);
+        }
+        if end - base < 64 {
+            diff &= (1u64 << (end - base)) - 1;
+        }
+        moved += diff.count_ones() as usize;
+        while diff != 0 {
+            let bit = diff.trailing_zeros() as usize;
+            let pi = &mut p[base + bit - offset];
+            *pi = if (w[word] >> bit) & 1 == 1 {
                 (*pi + step).min(1.0)
             } else {
                 (*pi - step).max(0.0)
             };
-            moved += 1;
+            diff &= diff - 1;
         }
     }
     moved

@@ -22,6 +22,8 @@
 //! virtual clock), so stop/resume is trivially bit-identical.
 
 pub mod cga;
+#[cfg(test)]
+mod scalar;
 pub mod sharded;
 
 pub use cga::{CompactGa, CompactGaBuilder};

@@ -31,7 +31,7 @@ use pga_core::termination::{Progress, Termination};
 use pga_core::{ConfigError, RunLedger};
 use pga_observe::Recorder;
 
-use crate::cga::{converged, sample_genome, update_slice};
+use crate::cga::{converged, sample_genome, sample_into, update_slice};
 
 /// Virtual seconds to sample one locus on a unit-speed node.
 const BIT_SAMPLE_COST_S: f64 = 2e-8;
@@ -44,6 +44,49 @@ pub struct WireStats {
     pub bytes: u64,
     /// Total messages (one gather + one broadcast per node per step).
     pub messages: u64,
+}
+
+/// What one sample → gather → evaluate → broadcast → update round costs.
+/// Every input is fixed at build (shard sizes, node speeds, network,
+/// evaluation cost), so the engine computes it once.
+#[derive(Clone, Copy, Debug)]
+struct RoundCost {
+    /// Virtual seconds the round adds to the clock.
+    seconds: f64,
+    /// Wire bytes: both sampled slices up, one winner byte per node down.
+    bytes: u64,
+    /// Messages: one gather and one broadcast per node.
+    messages: u64,
+}
+
+impl RoundCost {
+    fn of(shards: &[Shard], cluster: &ClusterSpec, eval_cost_s: f64) -> Self {
+        let nodes = shards.len();
+        let net = cluster.network;
+        // Sample (both competitors) and update (one pass) run on every
+        // node in parallel, so each phase costs the slowest node's time.
+        let mut t_sample: f64 = 0.0;
+        let mut t_update: f64 = 0.0;
+        let mut gather_bytes: u64 = 0;
+        for (shard, &speed) in shards.iter().zip(&cluster.speeds) {
+            t_sample = t_sample.max(2.0 * shard.p.len() as f64 * BIT_SAMPLE_COST_S / speed);
+            t_update = t_update.max(shard.p.len() as f64 * BIT_SAMPLE_COST_S / speed);
+            gather_bytes += 2 * shard.p.len().div_ceil(8) as u64;
+        }
+        // Gather: sampled slices flow up a log-depth reduction tree; the
+        // payload crosses the master link once.
+        let depth = nodes.next_power_of_two().trailing_zeros().max(1) as f64;
+        let t_gather = net.transfer_time(gather_bytes) + net.latency() * (depth - 1.0);
+        // Evaluate: the master scores both competitors.
+        let t_eval = 2.0 * eval_cost_s / cluster.speeds[0];
+        // Broadcast: one byte (the winner's identity) to every node.
+        let t_bcast = net.transfer_time(nodes as u64) + net.latency() * (depth - 1.0);
+        Self {
+            seconds: t_sample + t_gather + t_eval + t_bcast + t_update,
+            bytes: gather_bytes + nodes as u64,
+            messages: 2 * nodes as u64,
+        }
+    }
 }
 
 /// One node's share of the model: a contiguous probability slice plus a
@@ -68,8 +111,7 @@ pub struct ShardedCompactGa<P: Problem<Genome = BitString>> {
     shards: Vec<Shard>,
     len: usize,
     virtual_pop: usize,
-    cluster: ClusterSpec,
-    eval_cost_s: f64,
+    round: RoundCost,
     clock_s: f64,
     wire: WireStats,
     ledger: RunLedger<BitString>,
@@ -164,59 +206,36 @@ impl<P: Problem<Genome = BitString>> Engine for ShardedCompactGa<P> {
         "pcga"
     }
 
-    /// One sample → gather → evaluate → broadcast → update round.
+    /// One sample → gather → evaluate → broadcast → update round; its
+    /// virtual time and wire traffic are fixed at build.
     fn step(&mut self) -> StepReport {
-        let nodes = self.shards.len();
-        let net = self.cluster.network;
-        // --- sample: every node draws its slice of both competitors from
-        // its own stream; nodes run in parallel, so the phase costs the
-        // slowest node's time.
-        let mut a = BitString::zeros(self.len);
-        let mut b = BitString::zeros(self.len);
-        let mut t_sample: f64 = 0.0;
-        let mut gather_bytes: u64 = 0;
-        for (node, shard) in self.shards.iter_mut().enumerate() {
-            for (i, &pi) in shard.p.iter().enumerate() {
-                if shard.rng.chance(pi) {
-                    a.set(shard.lo + i, true);
-                }
-            }
-            for (i, &pi) in shard.p.iter().enumerate() {
-                if shard.rng.chance(pi) {
-                    b.set(shard.lo + i, true);
-                }
-            }
-            let speed = self.cluster.speeds[node];
-            t_sample = t_sample.max(2.0 * shard.p.len() as f64 * BIT_SAMPLE_COST_S / speed);
-            gather_bytes += 2 * shard.p.len().div_ceil(8) as u64;
+        // Every node samples its slice of both competitors from its own
+        // stream, straight into the competitors' words.
+        let words = self.len.div_ceil(64);
+        let (mut a, mut b) = (vec![0; words], vec![0; words]);
+        for shard in &mut self.shards {
+            sample_into(&mut a, shard.lo, &shard.p, &mut shard.rng);
+            sample_into(&mut b, shard.lo, &shard.p, &mut shard.rng);
         }
-        // --- gather: sampled slices flow up a log-depth reduction tree;
-        // the payload crosses the master link once.
-        let depth = nodes.next_power_of_two().trailing_zeros().max(1) as f64;
-        let t_gather = net.transfer_time(gather_bytes) + net.latency() * (depth - 1.0);
-        // --- evaluate: the master scores both competitors.
+        let a = BitString::from_words(a, self.len);
+        let b = BitString::from_words(b, self.len);
+        // The master scores both competitors and broadcasts the winner.
         let fa = self.problem.evaluate(&a);
         let fb = self.problem.evaluate(&b);
         self.ledger.count_evaluations(2);
-        let t_eval = 2.0 * self.eval_cost_s / self.cluster.speeds[0];
-        // --- broadcast: one byte (the winner's identity) to every node.
-        let t_bcast = net.transfer_time(nodes as u64) + net.latency() * (depth - 1.0);
-        self.wire.bytes += gather_bytes + nodes as u64;
-        self.wire.messages += 2 * nodes as u64;
-        // --- update: each node shifts its own loci; no further traffic.
         let (winner, loser, fw, fl) = if self.problem.objective().better(fb, fa) {
             (&b, &a, fb, fa)
         } else {
             (&a, &b, fa, fb)
         };
+        // Each node shifts its own loci.
         let step = 1.0 / self.virtual_pop as f64;
-        let mut t_update: f64 = 0.0;
-        for (node, shard) in self.shards.iter_mut().enumerate() {
+        for shard in &mut self.shards {
             update_slice(&mut shard.p, winner, loser, shard.lo, step);
-            let speed = self.cluster.speeds[node];
-            t_update = t_update.max(shard.p.len() as f64 * BIT_SAMPLE_COST_S / speed);
         }
-        self.clock_s += t_sample + t_gather + t_eval + t_bcast + t_update;
+        self.clock_s += self.round.seconds;
+        self.wire.bytes += self.round.bytes;
+        self.wire.messages += self.round.messages;
         let improved = self.ledger.offer(winner, fw);
         self.ledger
             .close_generation(&*self.problem, improved, fw, 0.5 * (fw + fl))
@@ -455,11 +474,10 @@ impl<P: Problem<Genome = BitString>> ShardedCompactGaBuilder<P> {
         );
         Ok(ShardedCompactGa {
             problem: self.problem,
+            round: RoundCost::of(&shards, &cluster, self.eval_cost_s),
             shards,
             len,
             virtual_pop: self.virtual_pop,
-            cluster,
-            eval_cost_s: self.eval_cost_s,
             clock_s: 0.0,
             wire: WireStats::default(),
             ledger,

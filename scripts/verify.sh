@@ -18,12 +18,14 @@ cargo clippy -q --no-deps \
     -p pga-multiobjective -p pga-compact -p pga-analysis -p pga-apps -p pga-serve \
     -- -D warnings -D clippy::unwrap_used
 
-echo "==> clippy expect gate (lib code of pga-serve and of the engines it hosts as islands)"
+echo "==> clippy expect gate (lib code of pga-serve and of the engines it hosts)"
 # The job server must never take the pool down on a bad input; lib code
 # proves it by carrying no unwrap/expect at all. The island drivers, the
-# cellular grid they host as demes, and the recorders every engine
-# writes to are held to the same rule.
+# cellular grid they host as demes, the compact GAs, the cluster
+# simulator under pcGA and the async engines, and the recorders every
+# engine writes to are held to the same rule.
 cargo clippy -q --no-deps -p pga-serve -p pga-island -p pga-observe -p pga-cellular \
+    -p pga-compact -p pga-cluster \
     -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
