@@ -3,8 +3,10 @@
 //! Measures the binary-genome hot paths before/after the word-level rewrite
 //! in one run on one machine: uniform crossover (per-word Bernoulli masks vs
 //! per-bit `chance` draws), bit-flip mutation at the canonical `p = 1/len`
-//! rate (geometric skip sampling vs the per-bit loop), and the end-to-end
-//! cellular step cost with each operator family plugged in.
+//! rate (geometric skip sampling vs the per-bit loop), the end-to-end
+//! cellular step cost with each operator family plugged in, and the
+//! block-scored fitness functions (trap-4×32 and royal-road-8×16: the
+//! full-block word kernel vs the per-bit reference loops).
 //!
 //! Prints a table and writes `results/BENCH_ops.json`; the verify gate
 //! asserts every recorded speedup is >= 2x. Run with `cargo bench --bench ops`.
@@ -14,28 +16,36 @@ use pga_cellular::{CellularGa, UpdatePolicy};
 use pga_core::ops::crossover::{Crossover, Uniform};
 use pga_core::ops::mutation::{BitFlip, Mutation};
 use pga_core::ops::scalar::{ScalarBitFlip, ScalarUniform};
-use pga_core::{BitString, Engine, Rng64};
-use pga_problems::OneMax;
+use pga_core::{BitString, Engine, Problem, Rng64};
+use pga_problems::{scalar, DeceptiveTrap, OneMax, RoyalRoad};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const LENS: [usize; 2] = [128, 1024];
 const GRID: usize = 32;
 
-/// Mean wall-clock per call in nanoseconds: warm up, then repeat until
-/// 60 ms or 200k reps have accumulated.
+/// Mean wall-clock per call in nanoseconds: warm up, then time batches
+/// of calls until 60 ms have accumulated. A batch lasts about 20 µs, so
+/// the two clock reads around it do not weigh on a call of a few
+/// nanoseconds.
 fn time_ns(mut f: impl FnMut()) -> f64 {
+    let warm = Instant::now();
     for _ in 0..64 {
         f();
     }
+    let per_call = warm.elapsed().as_secs_f64() / 64.0;
+    let batch = ((20e-6 / per_call.max(1e-9)) as u32).clamp(1, 4096);
     let mut total = Duration::ZERO;
-    let mut reps = 0u32;
-    while total < Duration::from_millis(60) && reps < 200_000 {
+    let mut calls = 0u64;
+    while total < Duration::from_millis(60) {
         let t0 = Instant::now();
-        f();
+        for _ in 0..batch {
+            f();
+        }
         total += t0.elapsed();
-        reps += 1;
+        calls += u64::from(batch);
     }
-    total.as_secs_f64() * 1e9 / f64::from(reps)
+    total.as_secs_f64() * 1e9 / calls as f64
 }
 
 struct Entry {
@@ -139,6 +149,39 @@ fn main() {
         entries.push(Entry {
             op: "cellular-step-32x32".into(),
             len,
+            scalar_ns,
+            word_ns,
+        });
+    }
+
+    // Block-scored fitness on one 128-bit genome: the word kernel each
+    // problem evaluates with vs the per-bit loop it replaced.
+    let g = BitString::random(128, &mut rng);
+    let trap = DeceptiveTrap::new(4, 32);
+    let road = RoyalRoad::new(8, 16);
+    for (op, scalar_ns, word_ns) in [
+        (
+            "trap-4x32",
+            time_ns(|| {
+                black_box(scalar::trap(4, 32, black_box(&g)));
+            }),
+            time_ns(|| {
+                black_box(trap.evaluate(black_box(&g)));
+            }),
+        ),
+        (
+            "royal-road-8x16",
+            time_ns(|| {
+                black_box(scalar::royal_road(8, 16, black_box(&g)));
+            }),
+            time_ns(|| {
+                black_box(road.evaluate(black_box(&g)));
+            }),
+        ),
+    ] {
+        entries.push(Entry {
+            op: op.into(),
+            len: g.len(),
             scalar_ns,
             word_ns,
         });

@@ -37,10 +37,73 @@ pub struct CellularGa<P: Problem> {
     fixed_sweep: Vec<usize>,
     /// Reused across generations: the per-sweep cell-update order.
     order_buf: Vec<usize>,
-    /// Reused across generations: the synchronous path's offspring batch
-    /// (one allocation for the lifetime of the engine, not one per sweep).
-    offspring_buf: Vec<Individual<P::Genome>>,
+    /// One offspring slot per cell, bred into in place every sweep; an
+    /// accepted child is swapped with its cell, so the replaced member
+    /// becomes the slot's next buffer and a sweep allocates nothing.
+    offspring: Vec<Offspring<P::Genome>>,
     ledger: RunLedger<P::Genome>,
+}
+
+/// A cell's offspring slot: the child, and the spare genome that takes
+/// the crossover's second child, which the cellular model drops.
+struct Offspring<G> {
+    child: Individual<G>,
+    spare: G,
+}
+
+/// What breeding one cell reads from the engine, borrowed apart from the
+/// grid and the offspring slots so the synchronous sweep can share it
+/// across pool workers while they write the slots.
+struct Breeder<'a, P: Problem> {
+    problem: &'a P,
+    rows: usize,
+    cols: usize,
+    neighborhood: CellNeighborhood,
+    crossover: &'a dyn Crossover<P::Genome>,
+    mutation: &'a dyn Mutation<P::Genome>,
+    crossover_rate: f64,
+}
+
+impl<P: Problem> Breeder<'_, P> {
+    /// Breeds and evaluates the offspring of cell `idx` into `slot`,
+    /// reading parents from `source`.
+    fn breed_into(
+        &self,
+        source: &[Individual<P::Genome>],
+        idx: usize,
+        slot: &mut Offspring<P::Genome>,
+        rng: &mut Rng64,
+    ) {
+        let objective = self.problem.objective();
+        let (r, c) = (idx / self.cols, idx % self.cols);
+        // Stack-buffered neighborhood: breeding runs once per cell per
+        // generation, so a heap Vec here would dominate the sweep.
+        let mut nb_buf = [0usize; 9];
+        let nb = self
+            .neighborhood
+            .neighbors_into(r, c, self.rows, self.cols, &mut nb_buf);
+        // Two independent binary tournaments over the neighborhood.
+        let pick = |rng: &mut Rng64| {
+            let a = *rng.choose(nb);
+            let b = *rng.choose(nb);
+            if objective.better(source[a].fitness(), source[b].fitness()) {
+                a
+            } else {
+                b
+            }
+        };
+        let pa = &source[pick(rng)].genome;
+        let pb = &source[pick(rng)].genome;
+        let child = &mut slot.child.genome;
+        if rng.chance(self.crossover_rate) {
+            self.crossover
+                .crossover_into(pa, pb, child, &mut slot.spare, rng);
+        } else {
+            child.clone_from(pa);
+        }
+        self.mutation.mutate(child, rng);
+        slot.child.fitness = Some(self.problem.evaluate(child));
+    }
 }
 
 impl<P: Problem> CellularGa<P> {
@@ -115,48 +178,6 @@ impl<P: Problem> CellularGa<P> {
         Rng64::new(splitmix64(&mut s))
     }
 
-    /// Produces the offspring for `idx` reading parents from `source`.
-    #[allow(clippy::too_many_arguments)] // one call site; grouping into a struct would obscure it
-    fn breed(
-        problem: &P,
-        source: &[Individual<P::Genome>],
-        idx: usize,
-        rows: usize,
-        cols: usize,
-        neighborhood: CellNeighborhood,
-        crossover: &dyn Crossover<P::Genome>,
-        mutation: &dyn Mutation<P::Genome>,
-        crossover_rate: f64,
-        rng: &mut Rng64,
-    ) -> Individual<P::Genome> {
-        let objective = problem.objective();
-        let (r, c) = (idx / cols, idx % cols);
-        // Stack-buffered neighborhood: breed runs once per cell per
-        // generation, so a heap Vec here would dominate the sweep.
-        let mut nb_buf = [0usize; 9];
-        let nb = neighborhood.neighbors_into(r, c, rows, cols, &mut nb_buf);
-        // Two independent binary tournaments over the neighborhood.
-        let pick = |rng: &mut Rng64| {
-            let a = *rng.choose(nb);
-            let b = *rng.choose(nb);
-            if objective.better(source[a].fitness(), source[b].fitness()) {
-                a
-            } else {
-                b
-            }
-        };
-        let pa = pick(rng);
-        let pb = pick(rng);
-        let (mut child, _) = if rng.chance(crossover_rate) {
-            crossover.crossover(&source[pa].genome, &source[pb].genome, rng)
-        } else {
-            (source[pa].genome.clone(), source[pb].genome.clone())
-        };
-        mutation.mutate(&mut child, rng);
-        let fitness = problem.evaluate(&child);
-        Individual::evaluated(child, fitness)
-    }
-
     /// Runs until the shared termination rule fires (via the generic
     /// [`Driver`]), collecting per-generation history. Returns an error if
     /// the rule is unbounded.
@@ -201,67 +222,49 @@ impl<P: Problem> Engine for CellularGa<P> {
             o
         };
 
+        let mut offspring = std::mem::take(&mut self.offspring);
+        let breeder = Breeder {
+            problem: &*self.problem,
+            rows: self.rows,
+            cols: self.cols,
+            neighborhood: self.neighborhood,
+            crossover: self.crossover.as_ref(),
+            mutation: self.mutation.as_ref(),
+            crossover_rate: self.crossover_rate,
+        };
         if self.policy.is_asynchronous() {
             for (step_idx, &idx) in order.iter().enumerate() {
                 let mut rng = Self::cell_rng(seed, generation, step_idx);
-                let child = Self::breed(
-                    &self.problem,
-                    &self.grid,
-                    idx,
-                    self.rows,
-                    self.cols,
-                    self.neighborhood,
-                    self.crossover.as_ref(),
-                    self.mutation.as_ref(),
-                    self.crossover_rate,
-                    &mut rng,
-                );
+                let slot = &mut offspring[idx];
+                breeder.breed_into(&self.grid, idx, slot, &mut rng);
                 self.ledger.count_evaluations(1);
+                let child = &mut slot.child;
                 if objective.better_or_equal(child.fitness(), self.grid[idx].fitness()) {
                     improved |= self.ledger.offer(&child.genome, child.fitness());
-                    self.grid[idx] = child;
+                    std::mem::swap(&mut self.grid[idx], child);
                 }
             }
         } else {
-            // Synchronous: breed all cells in parallel from the old grid,
-            // on the persistent pool, into the reused offspring buffer.
-            let mut offspring = std::mem::take(&mut self.offspring_buf);
-            {
-                let problem = &self.problem;
-                let (rows, cols) = (self.rows, self.cols);
-                let neighborhood = self.neighborhood;
-                let crossover = self.crossover.as_ref();
-                let mutation = self.mutation.as_ref();
-                let rate = self.crossover_rate;
-                let grid = &self.grid;
-                (0..n)
-                    .into_par_iter()
-                    .map(|idx| {
-                        let mut rng = Self::cell_rng(seed, generation, idx);
-                        Self::breed(
-                            problem,
-                            grid,
-                            idx,
-                            rows,
-                            cols,
-                            neighborhood,
-                            crossover,
-                            mutation,
-                            rate,
-                            &mut rng,
-                        )
-                    })
-                    .collect_into_vec(&mut offspring);
-            }
+            // Synchronous: breed every cell in parallel from the old grid,
+            // on the persistent pool, each into its own slot.
+            let grid = &self.grid;
+            offspring
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(idx, slot)| {
+                    let mut rng = Self::cell_rng(seed, generation, idx);
+                    breeder.breed_into(grid, idx, slot, &mut rng);
+                });
             self.ledger.count_evaluations(n as u64);
-            for (idx, child) in offspring.drain(..).enumerate() {
-                if objective.better_or_equal(child.fitness(), self.grid[idx].fitness()) {
+            for (cell, slot) in self.grid.iter_mut().zip(&mut offspring) {
+                let child = &mut slot.child;
+                if objective.better_or_equal(child.fitness(), cell.fitness()) {
                     improved |= self.ledger.offer(&child.genome, child.fitness());
-                    self.grid[idx] = child;
+                    std::mem::swap(cell, child);
                 }
             }
-            self.offspring_buf = offspring;
         }
+        self.offspring = offspring;
         self.order_buf = order;
 
         let (best, mean) = self.grid_fitness();
@@ -459,6 +462,13 @@ impl<P: Problem> CellularGaBuilder<P> {
             best_ever.clone(),
             self.recorder,
         );
+        let offspring = grid
+            .iter()
+            .map(|cell| Offspring {
+                child: cell.clone(),
+                spare: cell.genome.clone(),
+            })
+            .collect();
         Ok(CellularGa {
             problem: self.problem,
             grid,
@@ -472,7 +482,7 @@ impl<P: Problem> CellularGaBuilder<P> {
             rng,
             fixed_sweep,
             order_buf: Vec::new(),
-            offspring_buf: Vec::new(),
+            offspring,
             ledger,
         })
     }
@@ -520,7 +530,7 @@ mod tests {
         let e = CellularGa::builder(OneMax(8))
             .grid(0, 5)
             .crossover(OnePoint)
-            .mutation(BitFlip { p: 0.1 })
+            .mutation(BitFlip::new(0.1))
             .build()
             .err()
             .unwrap();
@@ -529,7 +539,7 @@ mod tests {
             ConfigError::InvalidParameter { name: "grid", .. }
         ));
         let e = CellularGa::builder(OneMax(8))
-            .mutation(BitFlip { p: 0.1 })
+            .mutation(BitFlip::new(0.1))
             .build()
             .err()
             .unwrap();

@@ -60,11 +60,15 @@ pub struct Ga<P: Problem, E: Evaluator<P> = SerialEvaluator> {
     rng: Rng64,
     population: Population<P::Genome>,
     ledger: RunLedger<P::Genome>,
-    // Generation arenas: the retiring member vector and the parent-index
-    // buffer are recycled across generational steps so the steady-state
-    // allocation profile is flat. Never part of snapshots.
+    // Generation arenas, never part of snapshots: the retired generation
+    // (whose genomes the next one is bred into), the parent and elite
+    // index buffers, and the spare genome that takes the unused second
+    // child of an odd generation. After the first generational step a
+    // step allocates nothing.
     offspring_buf: Vec<Individual<P::Genome>>,
     parents_buf: Vec<usize>,
+    elites_buf: Vec<usize>,
+    spare: Option<P::Genome>,
 }
 
 impl<P: Problem> Ga<P, SerialEvaluator> {
@@ -176,47 +180,67 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
 
     /// One full generational step with elitism.
     ///
-    /// Offspring are built into a recycled arena (`offspring_buf`) and the
-    /// parent picks into a recycled index buffer, then the arena is swapped
-    /// into the population wholesale — no per-generation vector allocation.
+    /// The next generation is written over the retired one (`offspring_buf`,
+    /// the members the previous step swapped out): elites are copied and
+    /// offspring bred into its genomes in place, the parent and elite picks
+    /// go to recycled index buffers, and the arena is swapped into the
+    /// population wholesale. Only the first step, which finds the arena
+    /// empty, allocates.
     fn step_generational(&mut self, elitism: usize) -> bool {
         let objective = self.problem.objective();
         let n = self.population.len();
         let mut next = std::mem::take(&mut self.offspring_buf);
-        next.clear();
-        next.reserve(n);
-        next.extend(
-            self.population
-                .top_k_indices(objective, elitism)
-                .into_iter()
-                .map(|i| self.population.members()[i].clone()),
-        );
+        next.truncate(n);
+        let mut elites = std::mem::take(&mut self.elites_buf);
+        self.population
+            .top_k_indices_into(objective, elitism, &mut elites);
+        for (slot, &i) in elites.iter().enumerate() {
+            let elite = &self.population.members()[i];
+            ensure_slot(&mut next, slot, elite);
+            next[slot].clone_from(elite);
+        }
+        let bred_from = elites.len();
+        self.elites_buf = elites;
 
-        let offspring_needed = n - next.len();
         let mut parents = std::mem::take(&mut self.parents_buf);
         self.selection.select_many_into(
             &self.population,
             objective,
-            offspring_needed + 1,
+            n - bred_from + 1,
             &mut self.rng,
             &mut parents,
         );
         let mut pi = 0;
-        while next.len() < n {
-            let a = &self.population[parents[pi % parents.len()]].genome;
-            let b = &self.population[parents[(pi + 1) % parents.len()]].genome;
+        for slot in (bred_from..n).step_by(2) {
+            let pa = &self.population[parents[pi % parents.len()]];
+            let pb = &self.population[parents[(pi + 1) % parents.len()]];
             pi += 2;
-            let (mut c, mut d) = if self.rng.chance(self.crossover_rate) {
-                self.crossover.crossover(a, b, &mut self.rng)
+            // Both children are bred into arena slots, except that the
+            // second child of an odd generation's last pair goes to the
+            // spare genome and is dropped unmutated.
+            let second = slot + 1 < n;
+            ensure_slot(&mut next, slot, pa);
+            let (c, d) = if second {
+                ensure_slot(&mut next, slot + 1, pb);
+                let (lo, hi) = next.split_at_mut(slot + 1);
+                (&mut lo[slot].genome, &mut hi[0].genome)
             } else {
-                (a.clone(), b.clone())
+                let spare = self.spare.get_or_insert_with(|| pb.genome.clone());
+                (&mut next[slot].genome, spare)
             };
-            self.mutation.mutate(&mut c, &mut self.rng);
-            next.push(Individual::unevaluated(c));
-            if next.len() < n {
-                self.mutation.mutate(&mut d, &mut self.rng);
-                next.push(Individual::unevaluated(d));
+            if self.rng.chance(self.crossover_rate) {
+                self.crossover
+                    .crossover_into(&pa.genome, &pb.genome, c, d, &mut self.rng);
+            } else {
+                c.clone_from(&pa.genome);
+                d.clone_from(&pb.genome);
             }
+            self.mutation.mutate(c, &mut self.rng);
+            if second {
+                self.mutation.mutate(d, &mut self.rng);
+                next[slot + 1].invalidate();
+            }
+            next[slot].invalidate();
         }
         self.parents_buf = parents;
         let sw = Stopwatch::started_if(self.ledger.is_recording());
@@ -224,9 +248,8 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         self.ledger.count_evaluations(fresh);
         self.ledger.record_batch(&sw, n, fresh);
         // Swap the evaluated offspring in; the retiring members land in
-        // `next` and are recycled as the next generation's arena.
+        // `next` and are the arena the next generation is written over.
         self.population.swap_members(&mut next);
-        next.clear();
         self.offspring_buf = next;
         let best = self.population.best(objective);
         self.ledger.offer(&best.genome, best.fitness())
@@ -270,6 +293,15 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         // variation operators interleaved with each single-child evaluation.
         self.ledger.record_batch(&sw, count, fresh_total);
         improved
+    }
+}
+
+/// Makes `arena[slot]` exist: slots are filled in order, so a short
+/// arena (only the first generational step finds one) grows by a clone
+/// of `like`, which the caller then overwrites.
+fn ensure_slot<G: Clone>(arena: &mut Vec<Individual<G>>, slot: usize, like: &Individual<G>) {
+    if arena.len() <= slot {
+        arena.push(like.clone());
     }
 }
 
@@ -554,6 +586,8 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
             ledger,
             offspring_buf: Vec::new(),
             parents_buf: Vec::new(),
+            elites_buf: Vec::new(),
+            spare: None,
         })
     }
 }
@@ -620,7 +654,7 @@ mod tests {
             .crossover_rate(1.5)
             .selection(Tournament::binary())
             .crossover(OnePoint)
-            .mutation(BitFlip { p: 0.1 })
+            .mutation(BitFlip::new(0.1))
             .build()
             .err()
             .unwrap();
@@ -637,7 +671,7 @@ mod tests {
             .scheme(Scheme::Generational { elitism: 10 })
             .selection(Tournament::binary())
             .crossover(OnePoint)
-            .mutation(BitFlip { p: 0.1 })
+            .mutation(BitFlip::new(0.1))
             .build()
             .err()
             .unwrap();

@@ -8,12 +8,28 @@ use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 /// Fitness is `None` until an [`Evaluator`](crate::eval::Evaluator) fills it
 /// in; engines never evaluate the same genome twice. Migrants travel between
 /// islands as whole `Individual`s so their fitness survives the move.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Individual<G> {
     /// The chromosome.
     pub genome: G,
     /// Cached fitness; `None` for freshly created offspring.
     pub fitness: Option<f64>,
+}
+
+impl<G: Clone> Clone for Individual<G> {
+    fn clone(&self) -> Self {
+        Self {
+            genome: self.genome.clone(),
+            fitness: self.fitness,
+        }
+    }
+
+    /// Copies through the genome's own `clone_from`, so a recycled member
+    /// keeps its buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.genome.clone_from(&source.genome);
+        self.fitness = source.fitness;
+    }
 }
 
 impl<G> Individual<G> {

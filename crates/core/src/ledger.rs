@@ -185,7 +185,10 @@ impl<G: Genome> RunLedger<G> {
             .objective
             .better(fitness, self.counters.best_ever.fitness());
         if better {
-            self.counters.best_ever = Individual::evaluated(genome.clone(), fitness);
+            // Copied into the kept genome's buffer, not a fresh clone.
+            let best = &mut self.counters.best_ever;
+            best.genome.clone_from(genome);
+            best.fitness = Some(fitness);
         }
         better
     }

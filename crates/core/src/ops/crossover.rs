@@ -8,6 +8,18 @@ pub trait Crossover<G>: Send + Sync {
     /// Recombines two parents into two offspring.
     fn crossover(&self, a: &G, b: &G, rng: &mut Rng64) -> (G, G);
 
+    /// Recombines two parents into the recycled offspring `c` and `d`,
+    /// overwriting whatever they held (of any length), with the same
+    /// children and the same draws from `rng` as
+    /// [`crossover`](Self::crossover). Engines breed through it so a
+    /// generation reuses the genomes of the one it replaces.
+    ///
+    /// The default assigns `crossover`'s result; the bit-string operators
+    /// write in place and implement `crossover` as a wrapper over this.
+    fn crossover_into(&self, a: &G, b: &G, c: &mut G, d: &mut G, rng: &mut Rng64) {
+        (*c, *d) = self.crossover(a, b, rng);
+    }
+
     /// Operator name for harness tables.
     fn name(&self) -> &'static str;
 }
@@ -39,17 +51,47 @@ impl Uniform {
     }
 }
 
+/// `crossover` of an operator that writes in place: clones the parents,
+/// then recombines into the clones.
+pub(crate) fn clone_then_into<G: Clone, X: Crossover<G> + ?Sized>(
+    op: &X,
+    a: &G,
+    b: &G,
+    rng: &mut Rng64,
+) -> (G, G) {
+    let (mut c, mut d) = (a.clone(), b.clone());
+    op.crossover_into(a, b, &mut c, &mut d, rng);
+    (c, d)
+}
+
+/// Overwrites the recycled offspring with copies of the parents, the
+/// starting point of every in-place bit-string crossover.
+pub(crate) fn copy_parents(a: &BitString, b: &BitString, c: &mut BitString, d: &mut BitString) {
+    assert_eq!(a.len(), b.len(), "crossover: length mismatch");
+    c.clone_from(a);
+    d.clone_from(b);
+}
+
 impl Crossover<BitString> for OnePoint {
     fn crossover(&self, a: &BitString, b: &BitString, rng: &mut Rng64) -> (BitString, BitString) {
-        assert_eq!(a.len(), b.len(), "crossover: length mismatch");
+        clone_then_into(self, a, b, rng)
+    }
+
+    fn crossover_into(
+        &self,
+        a: &BitString,
+        b: &BitString,
+        c: &mut BitString,
+        d: &mut BitString,
+        rng: &mut Rng64,
+    ) {
+        copy_parents(a, b, c, d);
         let n = a.len();
-        let (mut c, mut d) = (a.clone(), b.clone());
         if n >= 2 {
             let cut = rng.range_usize(1, n);
             // One XOR-masked pass yields both children.
-            c.swap_range_with(&mut d, cut, n);
+            c.swap_range_with(d, cut, n);
         }
-        (c, d)
     }
 
     fn name(&self) -> &'static str {
@@ -59,18 +101,27 @@ impl Crossover<BitString> for OnePoint {
 
 impl Crossover<BitString> for TwoPoint {
     fn crossover(&self, a: &BitString, b: &BitString, rng: &mut Rng64) -> (BitString, BitString) {
-        assert_eq!(a.len(), b.len(), "crossover: length mismatch");
+        clone_then_into(self, a, b, rng)
+    }
+
+    fn crossover_into(
+        &self,
+        a: &BitString,
+        b: &BitString,
+        c: &mut BitString,
+        d: &mut BitString,
+        rng: &mut Rng64,
+    ) {
+        copy_parents(a, b, c, d);
         let n = a.len();
-        let (mut c, mut d) = (a.clone(), b.clone());
         if n >= 2 {
             let (x, y) = rng.two_distinct(n);
             // Inclusive segment [lo, hi]: hi can be n-1, so the last locus
             // is exchangeable like every other (cuts from [0,n) would
             // otherwise leave locus n-1 permanently unswappable).
             let (lo, hi) = (x.min(y), x.max(y));
-            c.swap_range_with(&mut d, lo, hi + 1);
+            c.swap_range_with(d, lo, hi + 1);
         }
-        (c, d)
     }
 
     fn name(&self) -> &'static str {
@@ -80,13 +131,22 @@ impl Crossover<BitString> for TwoPoint {
 
 impl Crossover<BitString> for Uniform {
     fn crossover(&self, a: &BitString, b: &BitString, rng: &mut Rng64) -> (BitString, BitString) {
-        assert_eq!(a.len(), b.len(), "crossover: length mismatch");
+        clone_then_into(self, a, b, rng)
+    }
+
+    fn crossover_into(
+        &self,
+        a: &BitString,
+        b: &BitString,
+        c: &mut BitString,
+        d: &mut BitString,
+        rng: &mut Rng64,
+    ) {
         // Word-level mask kernel: one Bernoulli(p) mask per 64 loci (a
         // single RNG draw per word at p = 0.5) instead of a coin flip per
         // bit. The scalar loop is retained as `ops::scalar::ScalarUniform`.
-        let (mut c, mut d) = (a.clone(), b.clone());
-        c.uniform_mix_with(&mut d, self.p, rng);
-        (c, d)
+        copy_parents(a, b, c, d);
+        c.uniform_mix_with(d, self.p, rng);
     }
 
     fn name(&self) -> &'static str {

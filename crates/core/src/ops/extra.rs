@@ -2,7 +2,7 @@
 //! crossover, exponential-rank and Boltzmann selection, and self-adaptive
 //! Gaussian mutation (the 1/5-success rule).
 
-use crate::ops::crossover::Crossover;
+use crate::ops::crossover::{clone_then_into, copy_parents, Crossover};
 use crate::ops::mutation::Mutation;
 use crate::ops::selection::Selection;
 use crate::population::Population;
@@ -30,11 +30,21 @@ impl NPoint {
 
 impl Crossover<BitString> for NPoint {
     fn crossover(&self, a: &BitString, b: &BitString, rng: &mut Rng64) -> (BitString, BitString) {
-        assert_eq!(a.len(), b.len(), "crossover: length mismatch");
+        clone_then_into(self, a, b, rng)
+    }
+
+    fn crossover_into(
+        &self,
+        a: &BitString,
+        b: &BitString,
+        c: &mut BitString,
+        d: &mut BitString,
+        rng: &mut Rng64,
+    ) {
+        copy_parents(a, b, c, d);
         let len = a.len();
-        let (mut c, mut d) = (a.clone(), b.clone());
         if len < 2 {
-            return (c, d);
+            return;
         }
         let cuts_wanted = self.n.min(len - 1);
         let mut cuts = rng.sample_distinct(len - 1, cuts_wanted);
@@ -48,12 +58,11 @@ impl Crossover<BitString> for NPoint {
         for &end in &cuts {
             if swap {
                 // XOR-mask segment kernel: both children in one word pass.
-                c.swap_range_with(&mut d, start, end);
+                c.swap_range_with(d, start, end);
             }
             swap = !swap;
             start = end;
         }
-        (c, d)
     }
 
     fn name(&self) -> &'static str {
@@ -68,7 +77,18 @@ pub struct Hux;
 
 impl Crossover<BitString> for Hux {
     fn crossover(&self, a: &BitString, b: &BitString, rng: &mut Rng64) -> (BitString, BitString) {
-        assert_eq!(a.len(), b.len(), "crossover: length mismatch");
+        clone_then_into(self, a, b, rng)
+    }
+
+    fn crossover_into(
+        &self,
+        a: &BitString,
+        b: &BitString,
+        c: &mut BitString,
+        d: &mut BitString,
+        rng: &mut Rng64,
+    ) {
+        copy_parents(a, b, c, d);
         // Differing loci fall out of the XOR words via popcount iteration
         // (clear-lowest-set-bit), skipping identical words entirely.
         let mut differing = Vec::new();
@@ -79,9 +99,8 @@ impl Crossover<BitString> for Hux {
                 x &= x - 1;
             }
         }
-        let (mut c, mut d) = (a.clone(), b.clone());
         if differing.len() < 2 {
-            return (c, d);
+            return;
         }
         let half = differing.len() / 2;
         for &i in rng
@@ -94,7 +113,6 @@ impl Crossover<BitString> for Hux {
             c.flip(i);
             d.flip(i);
         }
-        (c, d)
     }
 
     fn name(&self) -> &'static str {

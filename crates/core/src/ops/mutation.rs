@@ -19,20 +19,34 @@ pub trait Mutation<G>: Send + Sync {
 /// Independent per-bit flip mutation with probability `p` per locus.
 ///
 /// The classical setting is `p = 1/len`, which [`BitFlip::one_over_len`]
-/// computes for you.
+/// computes for you. The sparse regime's `ln(1 − p)` is computed once,
+/// here, rather than on every mutated genome.
 #[derive(Clone, Copy, Debug)]
 pub struct BitFlip {
-    /// Per-bit flip probability.
-    pub p: f64,
+    p: f64,
+    ln_keep: f64,
 }
 
 impl BitFlip {
+    /// Flips each bit independently with probability `p`.
+    #[must_use]
+    pub fn new(p: f64) -> Self {
+        Self {
+            p,
+            ln_keep: (-p).ln_1p(),
+        }
+    }
+
     /// The canonical rate `1/len`.
     #[must_use]
     pub fn one_over_len(len: usize) -> Self {
-        Self {
-            p: 1.0 / len.max(1) as f64,
-        }
+        Self::new(1.0 / len.max(1) as f64)
+    }
+
+    /// Per-bit flip probability.
+    #[must_use]
+    pub fn p(&self) -> f64 {
+        self.p
     }
 }
 
@@ -42,7 +56,7 @@ impl Mutation<BitString> for BitFlip {
         // (cost scales with the number of flips, the p = 1/len regime),
         // dense per-word Bernoulli masks otherwise. The scalar loop is
         // retained as `ops::scalar::ScalarBitFlip`.
-        genome.flip_bernoulli(self.p, rng);
+        genome.flip_bernoulli(self.p, self.ln_keep, rng);
     }
 
     fn name(&self) -> &'static str {
@@ -325,7 +339,7 @@ mod tests {
         let len = 100;
         for _ in 0..trials {
             let mut g = BitString::zeros(len);
-            BitFlip { p: 0.05 }.mutate(&mut g, &mut r);
+            BitFlip::new(0.05).mutate(&mut g, &mut r);
             flips += g.count_ones();
         }
         let rate = flips as f64 / (trials * len) as f64;
@@ -336,9 +350,9 @@ mod tests {
     fn bitflip_zero_and_one() {
         let mut r = rng();
         let mut g = BitString::zeros(64);
-        BitFlip { p: 0.0 }.mutate(&mut g, &mut r);
+        BitFlip::new(0.0).mutate(&mut g, &mut r);
         assert_eq!(g.count_ones(), 0);
-        BitFlip { p: 1.0 }.mutate(&mut g, &mut r);
+        BitFlip::new(1.0).mutate(&mut g, &mut r);
         assert_eq!(g.count_ones(), 64);
     }
 

@@ -243,7 +243,24 @@ impl<G: Genome> Population<G> {
     /// population size.
     #[must_use]
     pub fn top_k_indices(&self, objective: Objective, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.members.len()).collect();
+        let mut idx = Vec::new();
+        self.top_k_indices_into(objective, k, &mut idx);
+        idx
+    }
+
+    /// [`top_k_indices`](Self::top_k_indices) into a recycled buffer.
+    ///
+    /// Members are ranked by fitness, ties by index (lower first), so the
+    /// order is total and a partial selection of the `k` best followed by
+    /// a sort of just those equals a stable sort of the whole population
+    /// truncated to `k`.
+    pub fn top_k_indices_into(&self, objective: Objective, k: usize, out: &mut Vec<usize>) {
+        out.clear();
+        let k = k.min(self.members.len());
+        if k == 0 {
+            return;
+        }
+        out.extend(0..self.members.len());
         // NaN fitness ranks worst (consistent with `Objective::better`,
         // which never prefers NaN) instead of inheriting total_cmp's
         // NaN-above-infinity ordering.
@@ -259,16 +276,20 @@ impl<G: Genome> Population<G> {
             Some(fs) => fs[i],
             None => self.members[i].fitness(),
         };
-        idx.sort_by(|&a, &b| {
+        let rank = |&a: &usize, &b: &usize| {
             let fa = key(fetch(a));
             let fb = key(fetch(b));
             match objective {
                 Objective::Maximize => fb.total_cmp(&fa),
                 Objective::Minimize => fa.total_cmp(&fb),
             }
-        });
-        idx.truncate(k.min(self.members.len()));
-        idx
+            .then(a.cmp(&b))
+        };
+        if k < out.len() {
+            out.select_nth_unstable_by(k - 1, rank);
+            out.truncate(k);
+        }
+        out.sort_unstable_by(rank);
     }
 }
 

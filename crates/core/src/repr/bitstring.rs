@@ -13,10 +13,27 @@ use std::fmt;
 /// Bits beyond `len` inside the last word are maintained as zero by every
 /// operation (the *canonical form* invariant); `count_ones` and equality rely
 /// on it.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitString {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitString {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into this string's word buffer, reallocating only
+    /// when it is too small: the engines breed offspring into recycled
+    /// genomes through it.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitString {
@@ -263,8 +280,11 @@ impl BitString {
     /// * Sparse (`p` below [`BitString::SPARSE_FLIP_THRESHOLD`]): geometric
     ///   gap sampling — one RNG draw and one `ln` per *flip*, so the cost
     ///   scales with `p · len`, not `len`. This is the `p = 1/len` regime.
+    ///   The gaps need `ln_keep = ln(1 − p)`, i.e. `(-p).ln_1p()`, which
+    ///   the caller supplies so that an operator flipping many genomes at
+    ///   one rate (`ops::BitFlip`) computes it once.
     /// * Dense: one Bernoulli(`p`) mask word XORed per 64 loci.
-    pub fn flip_bernoulli(&mut self, p: f64, rng: &mut Rng64) {
+    pub fn flip_bernoulli(&mut self, p: f64, ln_keep: f64, rng: &mut Rng64) {
         if self.len == 0 || p <= 0.0 {
             return;
         }
@@ -278,7 +298,6 @@ impl BitString {
         if p < Self::SPARSE_FLIP_THRESHOLD {
             // Gap between flips is geometric: floor(ln U / ln(1 - p)) with
             // U ~ (0, 1] (so ln U is finite).
-            let ln_keep = (-p).ln_1p();
             let mut i = 0usize;
             loop {
                 let u = 1.0 - rng.next_f64();
@@ -532,12 +551,12 @@ mod tests {
     fn flip_bernoulli_edge_probabilities() {
         let mut rng = Rng64::new(14);
         let mut s = BitString::zeros(100);
-        s.flip_bernoulli(0.0, &mut rng);
+        s.flip_bernoulli(0.0, 0.0, &mut rng);
         assert_eq!(s.count_ones(), 0);
-        s.flip_bernoulli(1.0, &mut rng);
+        s.flip_bernoulli(1.0, f64::NEG_INFINITY, &mut rng);
         assert_eq!(s.count_ones(), 100);
         assert!(s.tail_is_canonical());
-        s.flip_bernoulli(1.0, &mut rng);
+        s.flip_bernoulli(1.0, f64::NEG_INFINITY, &mut rng);
         assert_eq!(s.count_ones(), 0);
     }
 
@@ -550,7 +569,7 @@ mod tests {
             let (trials, len) = (400, 1000);
             for _ in 0..trials {
                 let mut s = BitString::zeros(len);
-                s.flip_bernoulli(p, &mut rng);
+                s.flip_bernoulli(p, (-p).ln_1p(), &mut rng);
                 assert!(s.tail_is_canonical());
                 flips += s.count_ones();
             }

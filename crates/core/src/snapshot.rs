@@ -27,6 +27,7 @@
 //! wrong-engine restores with a typed [`SnapshotError`] and never panics.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::rng::Rng64;
 
@@ -204,6 +205,41 @@ impl Snapshot {
         Self::encode_after(Vec::with_capacity(len), &self.engine, |w| {
             w.buf.extend_from_slice(&self.payload);
         })
+    }
+
+    /// [`to_bytes`](Self::to_bytes) written straight into an exact-length
+    /// shared buffer, for a caller that hands the bytes to other threads:
+    /// one allocation and one copy of the payload, where
+    /// `Arc::from(to_bytes())` makes two of each.
+    #[must_use]
+    pub fn to_shared_bytes(&self) -> Arc<[u8]> {
+        let tag_len = (self.engine.len() as u64).to_le_bytes();
+        let payload_len = (self.payload.len() as u64).to_le_bytes();
+        let parts: [&[u8]; 7] = [
+            &MAGIC,
+            &[VERSION],
+            &tag_len,
+            self.engine.as_bytes(),
+            &payload_len,
+            &self.payload,
+            &[0; CHECKSUM_LEN],
+        ];
+        let mut out = Arc::<[u8]>::new_uninit_slice(parts.iter().map(|p| p.len()).sum());
+        let buf = Arc::get_mut(&mut out).expect("a new Arc has no other owner");
+        let mut at = 0;
+        for part in parts {
+            buf[at..at + part.len()].write_copy_of_slice(part);
+            at += part.len();
+        }
+        // SAFETY: the parts cover the buffer exactly, so every byte was
+        // written above.
+        let mut out = unsafe { out.assume_init() };
+        let buf = Arc::get_mut(&mut out).expect("a new Arc has no other owner");
+        let (body, sum) = buf
+            .split_last_chunk_mut::<CHECKSUM_LEN>()
+            .expect("the buffer ends with the checksum");
+        *sum = checksum(body).to_le_bytes();
+        out
     }
 
     /// Appends to `prefix` the serialized snapshot whose payload `payload`
@@ -675,6 +711,19 @@ mod tests {
             assert_eq!(
                 bytes.capacity(),
                 bytes.len(),
+                "{tag} with {len} payload bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_bytes_equal_to_bytes() {
+        for (tag, len) in [("", 0), ("ga", 1), ("cellular", 31), ("archipelago", 4099)] {
+            let payload = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let snap = Snapshot::new(tag, payload);
+            assert_eq!(
+                &*snap.to_shared_bytes(),
+                &snap.to_bytes()[..],
                 "{tag} with {len} payload bytes"
             );
         }

@@ -136,7 +136,7 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let orig = BitString::random(len, &mut rng);
         let mut g = orig.clone();
-        BitFlip { p }.mutate(&mut g, &mut rng);
+        BitFlip::new(p).mutate(&mut g, &mut rng);
         prop_assert!(g.hamming(&orig) <= len);
         if p == 0.0 {
             prop_assert_eq!(g.hamming(&orig), 0);

@@ -12,6 +12,11 @@
 //! 2. **Statistical rates**: uniform crossover swaps each locus with the
 //!    same probability, and bit-flip mutation flips at the same rate in
 //!    both the sparse (geometric skip) and dense (word mask) regimes.
+//!
+//! The in-place form of every bit-string crossover, `crossover_into`, is
+//! held to the stricter contract: the same children bit for bit as
+//! `crossover`, and the same next RNG output, whatever the recycled
+//! offspring buffers held before (other lengths included).
 
 use pga_core::ops::crossover::{Crossover, OnePoint, TwoPoint, Uniform};
 use pga_core::ops::extra::{Hux, NPoint};
@@ -76,7 +81,7 @@ fn check_crossovers(seed: u64, len: usize, p: f64) {
 fn check_bitflip(seed: u64, len: usize, p: f64) {
     let mut rng = Rng64::new(seed);
     let mut g = BitString::random(len, &mut rng);
-    BitFlip { p }.mutate(&mut g, &mut rng);
+    BitFlip::new(p).mutate(&mut g, &mut rng);
     assert!(g.tail_is_canonical(), "bit-flip tail at len {len} p {p}");
     assert_eq!(g.len(), len);
 
@@ -85,7 +90,7 @@ fn check_bitflip(seed: u64, len: usize, p: f64) {
     for p in [0.0, 1.0] {
         let mut w = orig.clone();
         let mut s = orig.clone();
-        BitFlip { p }.mutate(&mut w, &mut rng);
+        BitFlip::new(p).mutate(&mut w, &mut rng);
         ScalarBitFlip { p }.mutate(&mut s, &mut rng);
         assert_eq!(w, s, "bit-flip families disagree at p = {p}, len {len}");
     }
@@ -103,7 +108,53 @@ fn check_uniform_extremes(seed: u64, len: usize) {
     }
 }
 
+fn check_crossover_into(seed: u64, len: usize, p: f64) {
+    let mut rng = Rng64::new(seed);
+    let a = BitString::random(len, &mut rng);
+    let b = BitString::random(len, &mut rng);
+    let ops: Vec<Box<dyn Crossover<BitString>>> = vec![
+        Box::new(OnePoint),
+        Box::new(TwoPoint),
+        Box::new(Uniform { p }),
+        Box::new(NPoint::new(3)),
+        Box::new(Hux),
+    ];
+    for op in &ops {
+        // Recycled buffers: empty, shorter, the same length, and longer
+        // by more than a word, all holding stale bits.
+        for dirty_len in [0, len / 2, len, len + 65] {
+            let mut fresh_rng = Rng64::new(seed ^ 0x5eed);
+            let mut into_rng = fresh_rng.clone();
+            let (c, d) = op.crossover(&a, &b, &mut fresh_rng);
+            let mut rc = BitString::random(dirty_len, &mut rng);
+            let mut rd = BitString::ones(dirty_len);
+            op.crossover_into(&a, &b, &mut rc, &mut rd, &mut into_rng);
+            let at = format!("{} at len {len} into dirty len {dirty_len}", op.name());
+            assert_eq!(rc, c, "child c of {at}");
+            assert_eq!(rd, d, "child d of {at}");
+            assert!(rc.tail_is_canonical() && rd.tail_is_canonical(), "{at}");
+            assert_eq!(
+                into_rng.next_u64(),
+                fresh_rng.next_u64(),
+                "next draw after {at}"
+            );
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn crossover_into_recycled_buffers_equals_crossover(
+        seed in arb_seed(),
+        len in 1usize..300,
+        p in 0.0f64..=1.0,
+    ) {
+        check_crossover_into(seed, len, p);
+        for boundary in BOUNDARY_LENS {
+            check_crossover_into(seed, boundary, p);
+        }
+    }
+
     // ---- Structural: word kernels satisfy the same invariants as the
     // scalar references on random lengths (incl. non-multiples of 64) ----
 
@@ -173,7 +224,7 @@ fn bitflip_rates_match_scalar_in_both_regimes() {
         (0.3, 137),    // dense, non-word-aligned length
     ] {
         let trials = 400;
-        let word = flip_rate(|g, rng| BitFlip { p }.mutate(g, rng), len, trials, 901);
+        let word = flip_rate(|g, rng| BitFlip::new(p).mutate(g, rng), len, trials, 901);
         let scalar = flip_rate(
             |g, rng| ScalarBitFlip { p }.mutate(g, rng),
             len,

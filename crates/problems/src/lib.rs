@@ -26,6 +26,8 @@ pub mod epistatic;
 pub mod feature_select;
 pub mod graph;
 pub mod real;
+#[doc(hidden)]
+pub mod scalar;
 pub mod scheduling;
 pub mod tsp;
 

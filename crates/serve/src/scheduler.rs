@@ -979,7 +979,7 @@ fn run_slice(task: &mut SliceTask) {
                 best_fitness: p.best_fitness,
                 best_is_optimal: p.best_is_optimal,
             },
-            Arc::from(engine.snapshot().to_bytes()),
+            engine.snapshot().to_shared_bytes(),
         )
     }));
     match result {

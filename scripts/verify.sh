@@ -37,8 +37,9 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (benches compile)"
 cargo bench --workspace --no-run
 
-echo "==> word-kernel equivalence suite (word vs scalar operators)"
+echo "==> word-kernel equivalence suite (word vs scalar operators and block fitness)"
 cargo test -q -p pga-core --test word_kernels
+cargo test -q -p pga-problems --test block_kernels
 
 echo "==> BENCH_ops.json speedup gate (every kernel >= 2x over scalar)"
 # Re-run 'cargo bench -p pga-bench --bench ops' to refresh the file after
