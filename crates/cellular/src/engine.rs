@@ -1,7 +1,7 @@
 //! The cellular GA engine.
 
 use crate::update::UpdatePolicy;
-use pga_core::ops::{Crossover, Mutation};
+use pga_core::ops::{Crossover, Mutation, Variation};
 use pga_core::rng::splitmix64;
 use pga_core::termination::{Progress, Termination};
 use pga_core::{
@@ -30,9 +30,7 @@ pub struct CellularGa<P: Problem> {
     cols: usize,
     neighborhood: CellNeighborhood,
     policy: UpdatePolicy,
-    crossover: Box<dyn Crossover<P::Genome>>,
-    mutation: Box<dyn Mutation<P::Genome>>,
-    crossover_rate: f64,
+    variation: Variation<P::Genome>,
     rng: Rng64,
     fixed_sweep: Vec<usize>,
     /// Reused across generations: the per-sweep cell-update order.
@@ -59,9 +57,7 @@ struct Breeder<'a, P: Problem> {
     rows: usize,
     cols: usize,
     neighborhood: CellNeighborhood,
-    crossover: &'a dyn Crossover<P::Genome>,
-    mutation: &'a dyn Mutation<P::Genome>,
-    crossover_rate: f64,
+    variation: &'a Variation<P::Genome>,
 }
 
 impl<P: Problem> Breeder<'_, P> {
@@ -95,13 +91,8 @@ impl<P: Problem> Breeder<'_, P> {
         let pa = &source[pick(rng)].genome;
         let pb = &source[pick(rng)].genome;
         let child = &mut slot.child.genome;
-        if rng.chance(self.crossover_rate) {
-            self.crossover
-                .crossover_into(pa, pb, child, &mut slot.spare, rng);
-        } else {
-            child.clone_from(pa);
-        }
-        self.mutation.mutate(child, rng);
+        self.variation
+            .vary_into(pa, pb, child, &mut slot.spare, false, rng);
         slot.child.fitness = Some(self.problem.evaluate(child));
     }
 }
@@ -228,9 +219,7 @@ impl<P: Problem> Engine for CellularGa<P> {
             rows: self.rows,
             cols: self.cols,
             neighborhood: self.neighborhood,
-            crossover: self.crossover.as_ref(),
-            mutation: self.mutation.as_ref(),
-            crossover_rate: self.crossover_rate,
+            variation: &self.variation,
         };
         if self.policy.is_asynchronous() {
             for (step_idx, &idx) in order.iter().enumerate() {
@@ -294,10 +283,7 @@ impl<P: Problem> Engine for CellularGa<P> {
         let mut w = SnapshotWriter::new();
         self.ledger.encode(&mut w);
         w.put_rng(&self.rng);
-        w.put_usize(self.grid.len());
-        for cell in &self.grid {
-            cell.encode(&mut w);
-        }
+        Individual::encode_all(&self.grid, &mut w);
         Snapshot::new("cellular", w.into_bytes())
     }
 
@@ -305,17 +291,7 @@ impl<P: Problem> Engine for CellularGa<P> {
         let mut r = snapshot.reader_for("cellular")?;
         let ledger = RunLedger::decode(&mut r)?;
         let rng = r.take_rng()?;
-        let len = r.take_usize()?;
-        if len != self.grid.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "snapshot grid has {len} cells, engine has {}",
-                self.grid.len()
-            )));
-        }
-        let mut grid = Vec::with_capacity(len);
-        for _ in 0..len {
-            grid.push(Individual::decode(&mut r)?);
-        }
+        let grid = Individual::decode_all(&mut r, self.grid.len())?;
         r.finish()?;
         self.ledger.restore(ledger);
         self.rng = rng;
@@ -423,18 +399,7 @@ impl<P: Problem> CellularGaBuilder<P> {
                 message: format!("grid must be non-empty, got {}x{}", self.rows, self.cols),
             });
         }
-        if !(0.0..=1.0).contains(&self.crossover_rate) {
-            return Err(ConfigError::InvalidParameter {
-                name: "crossover_rate",
-                message: format!("must be in [0,1], got {}", self.crossover_rate),
-            });
-        }
-        let crossover = self
-            .crossover
-            .ok_or(ConfigError::MissingComponent("crossover"))?;
-        let mutation = self
-            .mutation
-            .ok_or(ConfigError::MissingComponent("mutation"))?;
+        let variation = Variation::new(self.crossover, self.mutation, self.crossover_rate)?;
         let mut rng = Rng64::new(self.seed);
         let n = self.rows * self.cols;
         let grid: Vec<Individual<P::Genome>> = (0..n)
@@ -476,9 +441,7 @@ impl<P: Problem> CellularGaBuilder<P> {
             cols: self.cols,
             neighborhood: self.neighborhood,
             policy: self.policy,
-            crossover,
-            mutation,
-            crossover_rate: self.crossover_rate,
+            variation,
             rng,
             fixed_sweep,
             order_buf: Vec::new(),

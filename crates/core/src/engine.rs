@@ -14,7 +14,7 @@ use crate::error::ConfigError;
 use crate::eval::{Evaluator, SerialEvaluator};
 use crate::individual::Individual;
 use crate::ledger::RunLedger;
-use crate::ops::{breed_one, Crossover, Mutation, ReplacementPolicy, Selection};
+use crate::ops::{Crossover, Mutation, ReplacementPolicy, Selection, Variation};
 use crate::population::Population;
 use crate::problem::{Objective, Problem};
 use crate::rng::Rng64;
@@ -52,22 +52,21 @@ pub struct Ga<P: Problem, E: Evaluator<P> = SerialEvaluator> {
     problem: Arc<P>,
     evaluator: E,
     selection: Box<dyn Selection<P::Genome>>,
-    crossover: Box<dyn Crossover<P::Genome>>,
-    mutation: Box<dyn Mutation<P::Genome>>,
+    variation: Variation<P::Genome>,
     scheme: Scheme,
-    crossover_rate: f64,
     keep_history: bool,
     rng: Rng64,
     population: Population<P::Genome>,
     ledger: RunLedger<P::Genome>,
-    // Generation arenas, never part of snapshots: the retired generation
+    // Breeding arenas, never part of snapshots: the retired generation
     // (whose genomes the next one is bred into), the parent and elite
-    // index buffers, and the spare genome that takes the unused second
-    // child of an odd generation. After the first generational step a
-    // step allocates nothing.
+    // index buffers, the steady-state child (the member it last retired,
+    // or itself when rejected), and the spare genome that takes an unkept
+    // second child. After the first step a step allocates nothing.
     offspring_buf: Vec<Individual<P::Genome>>,
     parents_buf: Vec<usize>,
     elites_buf: Vec<usize>,
+    child: Option<P::Genome>,
     spare: Option<P::Genome>,
 }
 
@@ -165,11 +164,11 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
     ) -> usize {
         let objective = self.problem.objective();
         let mut accepted = 0;
-        for im in immigrants.drain(..) {
+        for mut im in immigrants.drain(..) {
             debug_assert!(im.is_evaluated(), "immigrants must carry fitness");
             self.ledger.offer_immigrant(&im);
             if policy
-                .insert(&mut self.population, im, objective, &mut self.rng)
+                .insert(&mut self.population, &mut im, objective, &mut self.rng)
                 .is_some()
             {
                 accepted += 1;
@@ -217,7 +216,7 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
             pi += 2;
             // Both children are bred into arena slots, except that the
             // second child of an odd generation's last pair goes to the
-            // spare genome and is dropped unmutated.
+            // spare genome and is dropped.
             let second = slot + 1 < n;
             ensure_slot(&mut next, slot, pa);
             let (c, d) = if second {
@@ -228,16 +227,9 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
                 let spare = self.spare.get_or_insert_with(|| pb.genome.clone());
                 (&mut next[slot].genome, spare)
             };
-            if self.rng.chance(self.crossover_rate) {
-                self.crossover
-                    .crossover_into(&pa.genome, &pb.genome, c, d, &mut self.rng);
-            } else {
-                c.clone_from(&pa.genome);
-                d.clone_from(&pb.genome);
-            }
-            self.mutation.mutate(c, &mut self.rng);
+            self.variation
+                .vary_into(&pa.genome, &pb.genome, c, d, second, &mut self.rng);
             if second {
-                self.mutation.mutate(d, &mut self.rng);
                 next[slot + 1].invalidate();
             }
             next[slot].invalidate();
@@ -265,29 +257,31 @@ impl<P: Problem, E: Evaluator<P>> Ga<P, E> {
         self.step_steady_state(count, replacement);
     }
 
+    /// Each child is bred into the genome the previous insertion handed
+    /// back, so only a run's first breeding allocates.
     fn step_steady_state(&mut self, count: usize, replacement: ReplacementPolicy) -> bool {
         let objective = self.problem.objective();
         let mut improved = false;
         let sw = Stopwatch::started_if(self.ledger.is_recording());
         let mut fresh_total = 0u64;
         for _ in 0..count {
-            let child = breed_one(
+            let genome = self.variation.breed_steady(
                 &self.population,
                 objective,
                 self.selection.as_ref(),
-                self.crossover.as_ref(),
-                self.mutation.as_ref(),
-                self.crossover_rate,
+                self.child.take(),
+                &mut self.spare,
                 &mut self.rng,
             );
-            let mut child = Individual::unevaluated(child);
+            let mut child = Individual::unevaluated(genome);
             let fresh = self
                 .evaluator
                 .evaluate_batch(&self.problem, std::slice::from_mut(&mut child));
             self.ledger.count_evaluations(fresh);
             fresh_total += fresh;
             improved |= self.ledger.offer(&child.genome, child.fitness());
-            replacement.insert(&mut self.population, child, objective, &mut self.rng);
+            replacement.insert(&mut self.population, &mut child, objective, &mut self.rng);
+            self.child = Some(child.genome);
         }
         // One event per generation-equivalent; the scope also covers the
         // variation operators interleaved with each single-child evaluation.
@@ -353,10 +347,7 @@ impl<P: Problem, E: Evaluator<P>> Engine for Ga<P, E> {
         let mut w = SnapshotWriter::new();
         self.ledger.encode(&mut w);
         w.put_rng(&self.rng);
-        w.put_usize(self.population.len());
-        for member in self.population.members() {
-            member.encode(&mut w);
-        }
+        Individual::encode_all(self.population.members(), &mut w);
         Snapshot::new("ga", w.into_bytes())
     }
 
@@ -364,18 +355,8 @@ impl<P: Problem, E: Evaluator<P>> Engine for Ga<P, E> {
         let mut r = snapshot.reader_for("ga")?;
         let ledger = RunLedger::decode(&mut r)?;
         let rng = r.take_rng()?;
-        let len = r.take_usize()?;
-        let mut members = Vec::new();
-        for _ in 0..len {
-            members.push(Individual::decode(&mut r)?);
-        }
+        let members = Individual::decode_all(&mut r, self.population.len())?;
         r.finish()?;
-        if members.len() != self.population.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "snapshot population of {len} does not match the configured size of {}",
-                self.population.len()
-            )));
-        }
         self.ledger.restore(ledger);
         self.rng = rng;
         self.population = Population::new(members);
@@ -403,19 +384,7 @@ impl<P: Problem> GaBuilder<P, SerialEvaluator> {
     /// crossover rate 0.9, generational scheme with 1 elite, seed 0.
     #[must_use]
     pub fn new(problem: P) -> Self {
-        Self {
-            problem: Arc::new(problem),
-            evaluator: SerialEvaluator,
-            selection: None,
-            crossover: None,
-            mutation: None,
-            scheme: Scheme::Generational { elitism: 1 },
-            crossover_rate: 0.9,
-            pop_size: 100,
-            seed: 0,
-            keep_history: false,
-            recorder: None,
-        }
+        Self::from_shared(Arc::new(problem))
     }
 
     /// Shares an existing `Arc`'d problem (used by island drivers so all
@@ -531,12 +500,6 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
                 message: format!("must be >= 2, got {}", self.pop_size),
             });
         }
-        if !(0.0..=1.0).contains(&self.crossover_rate) {
-            return Err(ConfigError::InvalidParameter {
-                name: "crossover_rate",
-                message: format!("must be in [0,1], got {}", self.crossover_rate),
-            });
-        }
         if let Scheme::Generational { elitism } = self.scheme {
             if elitism >= self.pop_size {
                 return Err(ConfigError::InvalidParameter {
@@ -548,12 +511,7 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
         let selection = self
             .selection
             .ok_or(ConfigError::MissingComponent("selection"))?;
-        let crossover = self
-            .crossover
-            .ok_or(ConfigError::MissingComponent("crossover"))?;
-        let mutation = self
-            .mutation
-            .ok_or(ConfigError::MissingComponent("mutation"))?;
+        let variation = Variation::new(self.crossover, self.mutation, self.crossover_rate)?;
 
         let mut rng = Rng64::new(self.seed);
         let members: Vec<Individual<P::Genome>> = (0..self.pop_size)
@@ -576,10 +534,8 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
             problem: self.problem,
             evaluator,
             selection,
-            crossover,
-            mutation,
+            variation,
             scheme: self.scheme,
-            crossover_rate: self.crossover_rate,
             keep_history: self.keep_history,
             rng,
             population,
@@ -587,6 +543,7 @@ impl<P: Problem, E: Evaluator<P>> GaBuilder<P, E> {
             offspring_buf: Vec::new(),
             parents_buf: Vec::new(),
             elites_buf: Vec::new(),
+            child: None,
             spare: None,
         })
     }

@@ -90,6 +90,26 @@ impl<G: Genome> Individual<G> {
         let fitness = r.take_opt_f64()?;
         Ok(Self { genome, fitness })
     }
+
+    /// Appends a member count, then every member.
+    pub fn encode_all(members: &[Self], w: &mut SnapshotWriter) {
+        w.put_usize(members.len());
+        for member in members {
+            member.encode(w);
+        }
+    }
+
+    /// Reads members written by [`encode_all`](Self::encode_all),
+    /// refusing any count but the engine's own `len`.
+    pub fn decode_all(r: &mut SnapshotReader<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+        let count = r.take_count(1)?;
+        if count != len {
+            return Err(SnapshotError::Invalid(format!(
+                "snapshot holds {count} members, the engine has {len}"
+            )));
+        }
+        (0..count).map(|_| Self::decode(r)).collect()
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,16 @@ use crate::population::Population;
 use crate::problem::Objective;
 use crate::repr::{BitString, Bounds, Genome, RealVector};
 use crate::rng::Rng64;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// Per-thread index buffers of the n-point and HUX crossovers (cut
+    /// points; differing loci and picks), so a call allocates only while
+    /// a thread's buffers grow to the genome length.
+    static SCRATCH: RefCell<(Vec<usize>, Vec<usize>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// n-point crossover for bit strings: exchanges alternating segments
 /// between `n` sorted random cut points.
@@ -47,22 +56,24 @@ impl Crossover<BitString> for NPoint {
             return;
         }
         let cuts_wanted = self.n.min(len - 1);
-        let mut cuts = rng.sample_distinct(len - 1, cuts_wanted);
-        for cut in &mut cuts {
-            *cut += 1; // cut positions in 1..len
-        }
-        cuts.sort_unstable();
-        cuts.push(len);
-        let mut swap = false;
-        let mut start = 0usize;
-        for &end in &cuts {
-            if swap {
-                // XOR-mask segment kernel: both children in one word pass.
-                c.swap_range_with(d, start, end);
+        SCRATCH.with_borrow_mut(|(cuts, _)| {
+            rng.sample_distinct_into(len - 1, cuts_wanted, cuts);
+            for cut in cuts.iter_mut() {
+                *cut += 1; // cut positions in 1..len
             }
-            swap = !swap;
-            start = end;
-        }
+            cuts.sort_unstable();
+            cuts.push(len);
+            let mut swap = false;
+            let mut start = 0usize;
+            for &end in cuts.iter() {
+                if swap {
+                    // XOR-mask segment kernel: both children in one word pass.
+                    c.swap_range_with(d, start, end);
+                }
+                swap = !swap;
+                start = end;
+            }
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -89,30 +100,31 @@ impl Crossover<BitString> for Hux {
         rng: &mut Rng64,
     ) {
         copy_parents(a, b, c, d);
-        // Differing loci fall out of the XOR words via popcount iteration
-        // (clear-lowest-set-bit), skipping identical words entirely.
-        let mut differing = Vec::new();
-        for (wi, (wa, wb)) in a.words().iter().zip(b.words()).enumerate() {
-            let mut x = wa ^ wb;
-            while x != 0 {
-                differing.push(wi * 64 + x.trailing_zeros() as usize);
-                x &= x - 1;
+        SCRATCH.with_borrow_mut(|(differing, picks)| {
+            // Differing loci fall out of the XOR words via popcount
+            // iteration (clear-lowest-set-bit), skipping identical words.
+            differing.clear();
+            differing.reserve(a.len());
+            for (wi, (wa, wb)) in a.words().iter().zip(b.words()).enumerate() {
+                let mut x = wa ^ wb;
+                while x != 0 {
+                    differing.push(wi * 64 + x.trailing_zeros() as usize);
+                    x &= x - 1;
+                }
             }
-        }
-        if differing.len() < 2 {
-            return;
-        }
-        let half = differing.len() / 2;
-        for &i in rng
-            .sample_distinct(differing.len(), half)
-            .iter()
-            .map(|&k| &differing[k])
-        {
-            // At a differing locus, swapping the parents' bits is a flip
-            // of both children.
-            c.flip(i);
-            d.flip(i);
-        }
+            if differing.len() < 2 {
+                return;
+            }
+            picks.clear();
+            picks.reserve(a.len());
+            rng.sample_distinct_into(differing.len(), differing.len() / 2, picks);
+            for &k in picks.iter() {
+                // At a differing locus, swapping the parents' bits is a
+                // flip of both children.
+                c.flip(differing[k]);
+                d.flip(differing[k]);
+            }
+        });
     }
 
     fn name(&self) -> &'static str {

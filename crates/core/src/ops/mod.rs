@@ -1,4 +1,6 @@
-//! Genetic operators: selection, crossover, mutation, replacement.
+//! Genetic operators: selection, crossover, mutation, replacement, and the
+//! one [`Variation`] recipe that applies crossover and mutation for every
+//! population engine.
 //!
 //! Every operator takes its randomness from an explicit
 //! [`Rng64`] so operator application is deterministic given the
@@ -26,33 +28,81 @@ pub use selection::{
     LinearRank, RandomSelection, Roulette, Selection, Sus, Tournament, Truncation,
 };
 
+use crate::error::ConfigError;
 use crate::population::Population;
 use crate::problem::Objective;
 use crate::repr::Genome;
 use crate::rng::Rng64;
 
-/// Breeds one steady-state offspring: two parent selections, crossover
-/// with probability `crossover_rate` (keeping the first child, else a
-/// copy of the first parent), then mutation. The panmictic steady-state
-/// GA and the asynchronous master–slave engine both breed through it, so
-/// their draws from `rng` come in the same order.
-pub fn breed_one<G: Genome>(
-    population: &Population<G>,
-    objective: Objective,
-    selection: &dyn Selection<G>,
-    crossover: &dyn Crossover<G>,
-    mutation: &dyn Mutation<G>,
+/// The variation recipe of every population engine: crossover with
+/// probability `crossover_rate`, then mutation. `Ga`, cellular,
+/// async-steady and NSGA-II each hold one and differ only in how they pick
+/// parents, so their variation is the same by construction.
+pub struct Variation<G> {
+    crossover: Box<dyn Crossover<G>>,
+    mutation: Box<dyn Mutation<G>>,
     crossover_rate: f64,
-    rng: &mut Rng64,
-) -> G {
-    let pa = selection.select(population, objective, rng);
-    let pb = selection.select(population, objective, rng);
-    let (a, b) = (&population[pa].genome, &population[pb].genome);
-    let mut child = if rng.chance(crossover_rate) {
-        crossover.crossover(a, b, rng).0
-    } else {
-        a.clone()
-    };
-    mutation.mutate(&mut child, rng);
-    child
+}
+
+impl<G: Genome> Variation<G> {
+    /// Assembles the recipe from a builder's parts. A missing operator is
+    /// reported before a rate outside `[0, 1]` (NaN included).
+    pub fn new(
+        crossover: Option<Box<dyn Crossover<G>>>,
+        mutation: Option<Box<dyn Mutation<G>>>,
+        crossover_rate: f64,
+    ) -> Result<Self, ConfigError> {
+        let crossover = crossover.ok_or(ConfigError::MissingComponent("crossover"))?;
+        let mutation = mutation.ok_or(ConfigError::MissingComponent("mutation"))?;
+        if !(0.0..=1.0).contains(&crossover_rate) {
+            return Err(ConfigError::InvalidParameter {
+                name: "crossover_rate",
+                message: format!("must be in [0, 1], got {crossover_rate}"),
+            });
+        }
+        Ok(Self {
+            crossover,
+            mutation,
+            crossover_rate,
+        })
+    }
+
+    /// Breeds `a` and `b` into the recycled children `c` and `d`: a
+    /// crossover with probability `crossover_rate`, else copies of the
+    /// parents; then mutation of `c`, and of `d` when `keep_d`. An
+    /// unkept `d` is only scratch for the crossover.
+    pub fn vary_into(&self, a: &G, b: &G, c: &mut G, d: &mut G, keep_d: bool, rng: &mut Rng64) {
+        if rng.chance(self.crossover_rate) {
+            self.crossover.crossover_into(a, b, c, d, rng);
+        } else {
+            c.clone_from(a);
+            if keep_d {
+                d.clone_from(b);
+            }
+        }
+        self.mutation.mutate(c, rng);
+        if keep_d {
+            self.mutation.mutate(d, rng);
+        }
+    }
+
+    /// The steady-state step of `Ga` and async-steady: two `selection`
+    /// draws, then [`vary_into`](Self::vary_into) keeping only `child`. A
+    /// missing `child` or `spare` buffer is first cloned from a parent.
+    pub fn breed_steady(
+        &self,
+        population: &Population<G>,
+        objective: Objective,
+        selection: &dyn Selection<G>,
+        child: Option<G>,
+        spare: &mut Option<G>,
+        rng: &mut Rng64,
+    ) -> G {
+        let a = &population[selection.select(population, objective, rng)].genome;
+        let b = &population[selection.select(population, objective, rng)].genome;
+        let mut c = child.unwrap_or_else(|| a.clone());
+        let d = spare.get_or_insert_with(|| b.clone());
+        self.vary_into(a, b, &mut c, d, false, rng);
+        c
+    }
 }

@@ -26,11 +26,14 @@ pub enum ReplacementPolicy {
 
 impl ReplacementPolicy {
     /// Applies the policy; returns the replaced index, or `None` when the
-    /// incomer was rejected. The incomer must already be evaluated.
+    /// incomer was rejected. The incomer must already be evaluated. An
+    /// accepted incomer is swapped into its slot, so `incomer` then holds
+    /// the retired member; a rejected one stays where it was. Either way
+    /// the caller may reuse its genome as the next child's buffer.
     pub fn insert<G: Genome>(
         self,
         pop: &mut Population<G>,
-        incomer: Individual<G>,
+        incomer: &mut Individual<G>,
         objective: Objective,
         rng: &mut Rng64,
     ) -> Option<usize> {
@@ -47,7 +50,7 @@ impl ReplacementPolicy {
         if conditional && !objective.better(incomer.fitness(), pop.members()[target].fitness()) {
             return None;
         }
-        pop.members_mut()[target] = incomer;
+        std::mem::swap(&mut pop.members_mut()[target], incomer);
         Some(target)
     }
 
@@ -79,31 +82,32 @@ mod tests {
     fn worst_always_replaces() {
         let mut p = pop(&[3.0, 1.0, 2.0]);
         let mut rng = Rng64::new(0);
-        let idx = ReplacementPolicy::Worst.insert(
-            &mut p,
-            Individual::evaluated(vec![0.5], 0.5),
-            Objective::Maximize,
-            &mut rng,
-        );
+        let mut incomer = Individual::evaluated(vec![0.5], 0.5);
+        let idx =
+            ReplacementPolicy::Worst.insert(&mut p, &mut incomer, Objective::Maximize, &mut rng);
         assert_eq!(idx, Some(1));
         assert_eq!(p[1].fitness(), 0.5);
+        // The retired member comes back in the incomer's place.
+        assert_eq!(incomer.genome, vec![1.0]);
     }
 
     #[test]
     fn worst_if_better_rejects_worse() {
         let mut p = pop(&[3.0, 1.0, 2.0]);
         let mut rng = Rng64::new(0);
+        let mut incomer = Individual::evaluated(vec![0.5], 0.5);
         let idx = ReplacementPolicy::WorstIfBetter.insert(
             &mut p,
-            Individual::evaluated(vec![0.5], 0.5),
+            &mut incomer,
             Objective::Maximize,
             &mut rng,
         );
         assert_eq!(idx, None);
         assert_eq!(p[1].fitness(), 1.0);
+        assert_eq!(incomer.genome, vec![0.5], "a rejected incomer stays put");
         let idx = ReplacementPolicy::WorstIfBetter.insert(
             &mut p,
-            Individual::evaluated(vec![9.0], 9.0),
+            &mut Individual::evaluated(vec![9.0], 9.0),
             Objective::Maximize,
             &mut rng,
         );
@@ -117,7 +121,7 @@ mod tests {
         // Under minimize, 3.0 is worst.
         let idx = ReplacementPolicy::Worst.insert(
             &mut p,
-            Individual::evaluated(vec![0.1], 0.1),
+            &mut Individual::evaluated(vec![0.1], 0.1),
             Objective::Minimize,
             &mut rng,
         );
@@ -131,7 +135,7 @@ mod tests {
         let idx = ReplacementPolicy::Random
             .insert(
                 &mut p,
-                Individual::evaluated(vec![-1.0], -1.0),
+                &mut Individual::evaluated(vec![-1.0], -1.0),
                 Objective::Maximize,
                 &mut rng,
             )
@@ -147,7 +151,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let idx = ReplacementPolicy::RandomIfBetter.insert(
             &mut p,
-            Individual::evaluated(vec![2.0], 2.0),
+            &mut Individual::evaluated(vec![2.0], 2.0),
             Objective::Maximize,
             &mut rng,
         );

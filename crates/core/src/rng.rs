@@ -216,14 +216,23 @@ impl Rng64 {
     /// intended for the small `k`/`n` typical of tournament and migrant
     /// selection rather than bulk statistics.
     pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut idx = Vec::new();
+        self.sample_distinct_into(n, k, &mut idx);
+        idx
+    }
+
+    /// [`sample_distinct`](Self::sample_distinct) into a recycled vector:
+    /// `out` is the Fisher–Yates index buffer and is left holding the `k`
+    /// picks, with the same draws and the same picks.
+    pub fn sample_distinct_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "sample_distinct: k={k} > n={n}");
-        let mut idx: Vec<usize> = (0..n).collect();
+        out.clear();
+        out.extend(0..n);
         for i in 0..k {
             let j = self.range_usize(i, n);
-            idx.swap(i, j);
+            out.swap(i, j);
         }
-        idx.truncate(k);
-        idx
+        out.truncate(k);
     }
 }
 
@@ -380,9 +389,11 @@ mod tests {
 
     #[test]
     fn sample_distinct_properties() {
-        let mut r = Rng64::new(17);
+        let (mut r, mut into_r, mut into) = (Rng64::new(17), Rng64::new(17), vec![7; 40]);
         for k in 0..=10 {
             let s = r.sample_distinct(10, k);
+            into_r.sample_distinct_into(10, k, &mut into);
+            assert_eq!(into, s, "a recycled buffer gives the same picks");
             assert_eq!(s.len(), k);
             let mut dedup = s.clone();
             dedup.sort_unstable();

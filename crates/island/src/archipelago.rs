@@ -640,10 +640,7 @@ impl<D: Deme> Engine for Archipelago<D> {
         }
         if self.policy.sync == SyncMode::Overlap {
             for inbox in &self.pending {
-                w.put_usize(inbox.len());
-                for member in inbox {
-                    member.encode(&mut w);
-                }
+                Individual::encode_all(inbox, &mut w);
             }
         }
         Snapshot::new("archipelago", w.into_bytes())

@@ -27,15 +27,18 @@
 //!   heterogeneous evaluation costs beats any batch schedule.
 //!
 //! Search behaviour breeds through the same steady-state step as
-//! [`pga_core::Ga`] ([`breed_one`]: same operator call order, same RNG
-//! discipline), so a sync-vs-async comparison isolates the barrier rather
-//! than the variation pipeline. Counters, best-ever, stagnation and
-//! events live in the shared [`RunLedger`].
+//! [`pga_core::Ga`] ([`Variation::breed_steady`]: same operator call
+//! order, same RNG discipline), so a sync-vs-async comparison isolates the
+//! barrier rather than the variation pipeline. A folded result is swapped
+//! into the population, and the genome that comes back (the retired
+//! member, or the rejected child) is the buffer a later offspring is bred
+//! into. Counters, best-ever, stagnation and events live in the shared
+//! [`RunLedger`].
 
 use crate::resilient::{spawn_worker, Report, Task};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pga_cluster::{AsyncDispatchSim, ClusterSpec, EvalCostModel, FaultPlan};
-use pga_core::ops::{breed_one, Crossover, Mutation, ReplacementPolicy, Selection};
+use pga_core::ops::{Crossover, Mutation, ReplacementPolicy, Selection, Variation};
 use pga_core::{
     Clock, ConfigError, Driver, Engine, Genome, Incumbent, Individual, PollReport, Population,
     Problem, Progress, Rng64, RunLedger, RunOutcome, Snapshot, SnapshotError, SnapshotWriter,
@@ -69,11 +72,13 @@ fn master_worker_id(workers: usize) -> u32 {
 struct Search<P: Problem> {
     problem: Arc<P>,
     selection: Box<dyn Selection<P::Genome>>,
-    crossover: Box<dyn Crossover<P::Genome>>,
-    mutation: Box<dyn Mutation<P::Genome>>,
+    variation: Variation<P::Genome>,
     replacement: ReplacementPolicy,
-    crossover_rate: f64,
     rng: Rng64,
+    /// Genomes handed back by folds, which later offspring are bred into.
+    free: Vec<P::Genome>,
+    /// Takes the crossover's second child, which steady-state drops.
+    spare: Option<P::Genome>,
     population: Population<P::Genome>,
     ledger: RunLedger<P::Genome>,
     /// Results folded since the last generation boundary.
@@ -85,15 +90,15 @@ struct Search<P: Problem> {
 }
 
 impl<P: Problem> Search<P> {
-    /// Breeds one offspring with `Ga`'s steady-state step.
+    /// Breeds one offspring with `Ga`'s steady-state step, into a genome
+    /// from the free list when there is one.
     fn breed(&mut self) -> P::Genome {
-        breed_one(
+        self.variation.breed_steady(
             &self.population,
             self.problem.objective(),
             self.selection.as_ref(),
-            self.crossover.as_ref(),
-            self.mutation.as_ref(),
-            self.crossover_rate,
+            self.free.pop(),
+            &mut self.spare,
             &mut self.rng,
         )
     }
@@ -105,12 +110,10 @@ impl<P: Problem> Search<P> {
         self.ledger.count_evaluations(1);
         self.folded_in_step += 1;
         self.improved_in_step |= self.ledger.offer(&genome, fitness);
-        self.replacement.insert(
-            &mut self.population,
-            Individual::evaluated(genome, fitness),
-            objective,
-            &mut self.rng,
-        );
+        let mut incomer = Individual::evaluated(genome, fitness);
+        self.replacement
+            .insert(&mut self.population, &mut incomer, objective, &mut self.rng);
+        self.free.push(incomer.genome);
         let seq = self.fold_seq;
         self.fold_seq += 1;
         let island = self.ledger.trace_island();
@@ -254,10 +257,7 @@ impl<P: Problem> Search<P> {
             if slot.tx.is_none() || slot.in_flight.is_some() {
                 continue;
             }
-            let genome = match t.backlog.pop_front() {
-                Some(g) => g,
-                None => self.breed(),
-            };
+            let genome = t.backlog.pop_front().unwrap_or_else(|| self.breed());
             let id = t.next_task;
             t.next_task += 1;
             let task = Task {
@@ -308,10 +308,7 @@ impl<P: Problem> Search<P> {
     /// Evaluates one backlogged (or fresh) offspring on the master — the
     /// degradation path when every worker thread has exited.
     fn fold_inline(&mut self, t: &mut ThreadedBackend<P>) {
-        let genome = match t.backlog.pop_front() {
-            Some(g) => g,
-            None => self.breed(),
-        };
+        let genome = t.backlog.pop_front().unwrap_or_else(|| self.breed());
         let fitness = self.problem.evaluate(&genome);
         let micros = t.started.elapsed().as_micros() as u64;
         self.fold(master_worker_id(t.slots.len()), genome, fitness, micros);
@@ -508,10 +505,7 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
         w.put_u64(s.fold_seq);
         w.put_bool(s.improved_in_step);
         w.put_rng(&s.rng);
-        w.put_usize(s.population.len());
-        for member in s.population.members() {
-            member.encode(&mut w);
-        }
+        Individual::encode_all(s.population.members(), &mut w);
         match &self.backend {
             Backend::Virtual(v) => {
                 w.put_u8(0);
@@ -560,17 +554,7 @@ impl<P: Problem> Engine for AsyncSteadyStateGa<P> {
         let fold_seq = r.take_u64()?;
         let improved_in_step = r.take_bool()?;
         let rng = r.take_rng()?;
-        let len = r.take_usize()?;
-        let mut members = Vec::new();
-        for _ in 0..len {
-            members.push(Individual::decode(&mut r)?);
-        }
-        if members.len() != self.search.population.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "snapshot population of {len} does not match the configured size of {}",
-                self.search.population.len()
-            )));
-        }
+        let members = Individual::decode_all(&mut r, self.search.population.len())?;
         let kind = r.take_u8()?;
         match (&mut self.backend, kind) {
             (Backend::Virtual(v), 0) => {
@@ -789,21 +773,10 @@ impl<P: Problem> AsyncSteadyBuilder<P> {
                 message: format!("must be at least 2, got {}", self.pop_size),
             });
         }
-        if !(0.0..=1.0).contains(&self.crossover_rate) {
-            return Err(ConfigError::InvalidParameter {
-                name: "crossover_rate",
-                message: format!("must be in [0, 1], got {}", self.crossover_rate),
-            });
-        }
         let selection = self
             .selection
             .ok_or(ConfigError::MissingComponent("selection"))?;
-        let crossover = self
-            .crossover
-            .ok_or(ConfigError::MissingComponent("crossover"))?;
-        let mutation = self
-            .mutation
-            .ok_or(ConfigError::MissingComponent("mutation"))?;
+        let variation = Variation::new(self.crossover, self.mutation, self.crossover_rate)?;
 
         let mut rng = Rng64::new(self.seed);
         let mut members = Vec::with_capacity(self.pop_size);
@@ -888,11 +861,11 @@ impl<P: Problem> AsyncSteadyBuilder<P> {
             search: Search {
                 problem: self.problem,
                 selection,
-                crossover,
-                mutation,
+                variation,
                 replacement: self.replacement,
-                crossover_rate: self.crossover_rate,
                 rng,
+                free: Vec::new(),
+                spare: None,
                 population,
                 ledger,
                 folded_in_step: 0,

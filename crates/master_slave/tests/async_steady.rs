@@ -16,10 +16,15 @@
 //! 4. **Time-fair quality** — at equal virtual time the async engine's
 //!    folded-work throughput is at least the synchronous simulator's on
 //!    the same heterogeneous cluster (the E20 claim, in miniature).
+//! 5. **Same variation as `Ga`** — on one virtual node, where every
+//!    offspring is folded before the next is bred, the engine walks the
+//!    same trajectory as a steady-state `Ga` with the same seed, problem,
+//!    operators and replacement: E20 then compares barriers, not
+//!    variation pipelines.
 
 use pga_cluster::{ClusterSpec, EvalCostModel, FaultPlan, NetworkProfile, WorkerFault};
-use pga_core::ops::{BitFlip, OnePoint, Tournament};
-use pga_core::{BitString, Engine, Objective, Problem, Rng64, Termination};
+use pga_core::ops::{BitFlip, OnePoint, ReplacementPolicy, Tournament};
+use pga_core::{BitString, Engine, Ga, Objective, Problem, Rng64, Scheme, Termination};
 use pga_master_slave::AsyncSteadyStateGa;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -203,4 +208,59 @@ fn async_throughput_matches_or_beats_sync_at_equal_virtual_time() {
         "async folding must keep the heterogeneous cluster busy: \
          {async_rate:.1} evals/s vs ideal {sync_rate_upper_bound:.1}"
     );
+}
+
+#[test]
+fn one_virtual_node_walks_the_steady_state_ga_trajectory() {
+    for replacement in [
+        ReplacementPolicy::Worst,
+        ReplacementPolicy::WorstIfBetter,
+        ReplacementPolicy::Random,
+        ReplacementPolicy::RandomIfBetter,
+    ] {
+        let problem = Arc::new(OneMax(64));
+        let mut ga = Ga::builder(Arc::clone(&problem))
+            .seed(29)
+            .pop_size(31)
+            .selection(Tournament::binary())
+            .crossover(OnePoint)
+            .mutation(BitFlip::one_over_len(64))
+            .scheme(Scheme::SteadyState { replacement })
+            .build()
+            .expect("valid configuration");
+        let cluster =
+            ClusterSpec::homogeneous(1, NetworkProfile::FastEthernet).expect("valid cluster");
+        let cost = EvalCostModel::bimodal(0.01, 0.2, 0.2).expect("valid cost model");
+        let mut async_ga = AsyncSteadyStateGa::builder(problem)
+            .seed(29)
+            .pop_size(31)
+            .selection(Tournament::binary())
+            .crossover(OnePoint)
+            .mutation(BitFlip::one_over_len(64))
+            .replacement(replacement)
+            .virtual_cluster(cluster, cost)
+            .build()
+            .expect("valid configuration");
+        let fitnesses = |members: &[pga_core::Individual<BitString>]| {
+            members
+                .iter()
+                .map(|m| m.fitness().to_bits())
+                .collect::<Vec<_>>()
+        };
+        for generation in 1..=12 {
+            ga.step();
+            async_ga.step();
+            let at = format!("{} after generation {generation}", replacement.name());
+            assert_eq!(
+                fitnesses(ga.population().members()),
+                fitnesses(async_ga.population().members()),
+                "population fitnesses, {at}"
+            );
+            assert_eq!(
+                ga.ledger().best_ever().fitness().to_bits(),
+                async_ga.ledger().best_ever().fitness().to_bits(),
+                "best-ever, {at}"
+            );
+        }
+    }
 }

@@ -8,7 +8,7 @@
 
 use crate::pareto::{crowding_distance, fast_nondominated_sort};
 use crate::problems::MoProblem;
-use pga_core::ops::{Crossover, Mutation};
+use pga_core::ops::{Crossover, Mutation, Variation};
 use pga_core::{
     ConfigError, Driver, Engine, Genome, Incumbent, Progress, Rng64, RunOutcome, Snapshot,
     SnapshotError, SnapshotWriter, StepReport, Termination,
@@ -30,9 +30,7 @@ pub struct MoEngine<P: MoProblem> {
     problem: Arc<P>,
     mask: Vec<bool>,
     population: Vec<MoIndividual<P::Genome>>,
-    crossover: Box<dyn Crossover<P::Genome>>,
-    mutation: Box<dyn Mutation<P::Genome>>,
-    crossover_rate: f64,
+    variation: Variation<P::Genome>,
     rng: Rng64,
     generation: u64,
     evaluations: u64,
@@ -227,24 +225,14 @@ impl<P: MoProblem> Engine for MoEngine<P> {
         let mut rng = self.rng.clone();
         let mut offspring = Vec::with_capacity(n);
         while offspring.len() < n {
-            let pa = self.tournament(&rank, &crowd, &mut rng);
-            let pb = self.tournament(&rank, &crowd, &mut rng);
-            let (mut c, mut d) = if rng.chance(self.crossover_rate) {
-                self.crossover.crossover(
-                    &self.population[pa].genome,
-                    &self.population[pb].genome,
-                    &mut rng,
-                )
-            } else {
-                (
-                    self.population[pa].genome.clone(),
-                    self.population[pb].genome.clone(),
-                )
-            };
-            self.mutation.mutate(&mut c, &mut rng);
+            let a = &self.population[self.tournament(&rank, &crowd, &mut rng)].genome;
+            let b = &self.population[self.tournament(&rank, &crowd, &mut rng)].genome;
+            let (mut c, mut d) = (a.clone(), b.clone());
+            let keep_second = offspring.len() + 1 < n;
+            self.variation
+                .vary_into(a, b, &mut c, &mut d, keep_second, &mut rng);
             offspring.push(c);
-            if offspring.len() < n {
-                self.mutation.mutate(&mut d, &mut rng);
+            if keep_second {
                 offspring.push(d);
             }
         }
@@ -460,12 +448,7 @@ impl<P: MoProblem> MoEngineBuilder<P> {
                 message: "mask must cover all objectives and enable at least one".into(),
             });
         }
-        let crossover = self
-            .crossover
-            .ok_or(ConfigError::MissingComponent("crossover"))?;
-        let mutation = self
-            .mutation
-            .ok_or(ConfigError::MissingComponent("mutation"))?;
+        let variation = Variation::new(self.crossover, self.mutation, self.crossover_rate)?;
         let mut rng = Rng64::new(self.seed);
         let population: Vec<MoIndividual<P::Genome>> = (0..self.pop_size)
             .map(|_| {
@@ -479,9 +462,7 @@ impl<P: MoProblem> MoEngineBuilder<P> {
             problem: self.problem,
             mask,
             population,
-            crossover,
-            mutation,
-            crossover_rate: self.crossover_rate,
+            variation,
             rng,
             generation: 0,
             stagnant_generations: 0,
@@ -556,6 +537,35 @@ mod tests {
             }
         ));
         let _ = p;
+    }
+
+    #[test]
+    fn build_rejects_a_crossover_rate_outside_the_unit_interval() {
+        for rate in [1.5, -0.1, f64::NAN] {
+            let p = Zdt::new(1, 5);
+            let b = p.bounds().clone();
+            let err = MoEngine::builder(p)
+                .crossover_rate(rate)
+                .crossover(Sbx::new(b.clone()))
+                .mutation(GaussianMutation {
+                    p: 0.1,
+                    sigma: 0.1,
+                    bounds: b,
+                })
+                .build()
+                .err()
+                .unwrap();
+            assert!(
+                matches!(
+                    err,
+                    ConfigError::InvalidParameter {
+                        name: "crossover_rate",
+                        ..
+                    }
+                ),
+                "rate {rate}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Allocation contract of the population engines' hot loop.
 //!
-//! After one warm-up step, a generational `Ga` step and a cellular sweep
-//! make no heap allocation when no recorder is attached: offspring are
-//! bred into the genomes of the generation they replace, the elite and
-//! parent picks go to recycled index buffers, and an improving best is
-//! copied into the genome the ledger already holds.
+//! After one warm-up step, a generational or steady-state `Ga` step, a
+//! cellular sweep and an asynchronous steady-state generation on virtual
+//! time make no heap allocation when no recorder is attached: offspring
+//! are bred into the genomes of the members they replace (a generational
+//! step writes over the retired generation; a steady-state insertion
+//! hands back the retired member or the rejected child), the elite and
+//! parent picks go to recycled index buffers, the n-point and HUX
+//! crossovers keep their index buffers per thread, and an improving best
+//! is copied into the genome the ledger already holds.
 //!
 //! A counting global allocator counts the allocations of the calling
 //! thread only, so tests running in parallel do not disturb each other.
@@ -13,8 +17,12 @@
 //! made would be counted.
 
 use parallel_ga::cellular::{CellularGa, UpdatePolicy};
-use parallel_ga::core::ops::{BitFlip, Crossover, OnePoint, Tournament, TwoPoint, Uniform};
+use parallel_ga::cluster::{ClusterSpec, EvalCostModel, NetworkProfile};
+use parallel_ga::core::ops::{
+    BitFlip, Crossover, Hux, NPoint, OnePoint, ReplacementPolicy, Tournament, TwoPoint, Uniform,
+};
 use parallel_ga::core::{BitString, Engine, Ga, Problem, Rng64, Scheme};
+use parallel_ga::master_slave::AsyncSteadyStateGa;
 use parallel_ga::problems::{DeceptiveTrap, OneMax};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,7 +93,7 @@ fn genome_len<P: Problem<Genome = BitString>>(problem: &P) -> usize {
 fn ga<P: Problem<Genome = BitString>>(
     problem: P,
     pop: usize,
-    elitism: usize,
+    scheme: Scheme,
     crossover: impl Crossover<BitString> + 'static,
 ) -> Ga<P> {
     let len = genome_len(&problem);
@@ -95,7 +103,7 @@ fn ga<P: Problem<Genome = BitString>>(
         .selection(Tournament::binary())
         .crossover(crossover)
         .mutation(BitFlip::one_over_len(len))
-        .scheme(Scheme::Generational { elitism })
+        .scheme(scheme)
         .build()
         .expect("valid configuration")
 }
@@ -104,12 +112,13 @@ fn ga<P: Problem<Genome = BitString>>(
 /// population sizes (an odd number of offspring drops a second child).
 fn check_ga(name: &str, crossover: impl Crossover<BitString> + Copy + 'static) {
     for elitism in [0, 1, 2] {
+        let scheme = Scheme::Generational { elitism };
         for pop in [31, 32] {
             let label = format!("onemax {name} elitism {elitism} pop {pop}");
-            let mut onemax = ga(OneMax::new(200), pop, elitism, crossover);
+            let mut onemax = ga(OneMax::new(200), pop, scheme, crossover);
             assert_steps_allocate_nothing(&mut onemax, 20, &label);
             let label = format!("trap {name} elitism {elitism} pop {pop}");
-            let mut trap = ga(DeceptiveTrap::new(4, 32), pop, elitism, crossover);
+            let mut trap = ga(DeceptiveTrap::new(4, 32), pop, scheme, crossover);
             assert_steps_allocate_nothing(&mut trap, 20, &label);
         }
     }
@@ -120,6 +129,53 @@ fn generational_ga_steps_allocate_nothing_after_warm_up() {
     check_ga("one-point", OnePoint);
     check_ga("two-point", TwoPoint);
     check_ga("uniform", Uniform::half());
+}
+
+#[test]
+fn generational_ga_steps_with_hux_and_n_point_allocate_nothing_after_warm_up() {
+    check_ga("hux", Hux);
+    check_ga("3-point", NPoint::new(3));
+    check_ga("1-point", NPoint::new(1));
+}
+
+#[test]
+fn steady_state_ga_steps_allocate_nothing_after_warm_up() {
+    for replacement in [
+        ReplacementPolicy::Worst,
+        ReplacementPolicy::WorstIfBetter,
+        ReplacementPolicy::Random,
+        ReplacementPolicy::RandomIfBetter,
+    ] {
+        let scheme = Scheme::SteadyState { replacement };
+        for pop in [31, 32] {
+            let label = format!("onemax steady {} pop {pop}", replacement.name());
+            let mut onemax = ga(OneMax::new(200), pop, scheme, OnePoint);
+            assert_steps_allocate_nothing(&mut onemax, 20, &label);
+            let label = format!("trap steady {} pop {pop}", replacement.name());
+            let mut trap = ga(DeceptiveTrap::new(4, 32), pop, scheme, OnePoint);
+            assert_steps_allocate_nothing(&mut trap, 20, &label);
+        }
+    }
+}
+
+#[test]
+fn virtual_async_steady_generations_allocate_nothing_after_warm_up() {
+    for nodes in [1, 4] {
+        let cluster = ClusterSpec::heterogeneous(nodes, 3.0, 9, NetworkProfile::FastEthernet)
+            .expect("valid cluster");
+        let cost = EvalCostModel::uniform(5e-4, 5e-3).expect("valid cost model");
+        let mut engine = AsyncSteadyStateGa::builder(OneMax::new(200))
+            .seed(11)
+            .pop_size(32)
+            .selection(Tournament::binary())
+            .crossover(OnePoint)
+            .mutation(BitFlip::one_over_len(200))
+            .virtual_cluster(cluster, cost)
+            .build()
+            .expect("valid configuration");
+        let label = format!("async-steady on {nodes} virtual nodes");
+        assert_steps_allocate_nothing(&mut engine, 20, &label);
+    }
 }
 
 fn cellular(policy: UpdatePolicy) -> CellularGa<DeceptiveTrap> {

@@ -50,6 +50,95 @@ fn ga_builder_reports_missing_operators() {
     assert!(matches!(err, ConfigError::MissingComponent(_)), "{err}");
 }
 
+/// Every builder that takes a crossover rate reports a missing operator
+/// before a bad rate, and rejects a rate outside `[0, 1]` (NaN included)
+/// under the one name `crossover_rate`.
+#[test]
+fn builders_check_operators_then_the_crossover_rate() {
+    let schaffer = Schaffer::new();
+    let (sbx, gauss) = (Sbx::new(schaffer.bounds().clone()), || GaussianMutation {
+        p: 0.1,
+        sigma: 0.1,
+        bounds: schaffer.bounds().clone(),
+    });
+    for rate in [1.5, -0.1, f64::NAN] {
+        let results = [
+            err_of(
+                Ga::builder(OneMax::new(8))
+                    .crossover_rate(rate)
+                    .selection(Tournament::binary())
+                    .crossover(OnePoint)
+                    .build(),
+            ),
+            err_of(
+                CellularGa::builder(OneMax::new(8))
+                    .crossover_rate(rate)
+                    .crossover(OnePoint)
+                    .build(),
+            ),
+            err_of(
+                AsyncSteadyStateGa::builder(OneMax::new(8))
+                    .crossover_rate(rate)
+                    .selection(Tournament::binary())
+                    .crossover(OnePoint)
+                    .build(),
+            ),
+            err_of(
+                MoEngine::builder(Schaffer::new())
+                    .crossover_rate(rate)
+                    .crossover(sbx.clone())
+                    .build(),
+            ),
+        ];
+        for err in results {
+            assert_eq!(
+                err,
+                ConfigError::MissingComponent("mutation"),
+                "rate {rate}"
+            );
+        }
+        let results = [
+            err_of(
+                Ga::builder(OneMax::new(8))
+                    .crossover_rate(rate)
+                    .selection(Tournament::binary())
+                    .crossover(OnePoint)
+                    .mutation(BitFlip::one_over_len(8))
+                    .build(),
+            ),
+            err_of(
+                CellularGa::builder(OneMax::new(8))
+                    .crossover_rate(rate)
+                    .crossover(OnePoint)
+                    .mutation(BitFlip::one_over_len(8))
+                    .build(),
+            ),
+            err_of(
+                AsyncSteadyStateGa::builder(OneMax::new(8))
+                    .crossover_rate(rate)
+                    .selection(Tournament::binary())
+                    .crossover(OnePoint)
+                    .mutation(BitFlip::one_over_len(8))
+                    .build(),
+            ),
+            err_of(
+                MoEngine::builder(Schaffer::new())
+                    .crossover_rate(rate)
+                    .crossover(sbx.clone())
+                    .mutation(gauss())
+                    .build(),
+            ),
+        ];
+        for err in results {
+            assert!(
+                invalid_parameter_named(&err, "crossover_rate"),
+                "rate {rate}: {err}"
+            );
+            assert!(err.to_string().contains("must be in [0, 1]"), "{err}");
+        }
+    }
+}
+
 #[test]
 fn cellular_builder_rejects_empty_grid() {
     let err = err_of(
